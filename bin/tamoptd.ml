@@ -28,7 +28,12 @@ let listen_arg =
     & info [ "listen" ] ~docv:"ADDR" ~doc)
 
 let jobs_arg =
-  let doc = "Worker domains solving requests; 0 uses every core." in
+  let doc =
+    "Domains in the solver pool, counting the daemon's own domain, which \
+     only accepts connections and does I/O: $(docv) solves on N-1 worker \
+     domains, and 1 solves inline on the connection threads. 0 uses \
+     every core."
+  in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let cache_arg =
@@ -167,8 +172,13 @@ let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
             in
             let on_bound () =
               Printf.printf
-                "tamoptd: listening on %s (jobs=%d cache=%d queue=%d%s)\n%!"
-                (Addr.to_string addr) jobs cache queue
+                "tamoptd: listening on %s (jobs=%d: %s; cache=%d queue=%d%s)\n%!"
+                (Addr.to_string addr) jobs
+                (if jobs = 1 then "solving inline on connection threads"
+                 else
+                   Printf.sprintf "%d solver domain%s" (jobs - 1)
+                     (if jobs = 2 then "" else "s"))
+                cache queue
                 (match metrics_addr with
                 | Some m -> Printf.sprintf " metrics=%s" (Addr.to_string m)
                 | None -> "")

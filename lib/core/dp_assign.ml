@@ -1,13 +1,19 @@
 type outcome = { assignment : int array; test_time : int }
-type stats = { nodes : int }
+type stats = { nodes : int; complete : bool }
 
 let dp_cluster_limit = 20
 
+(* Raised by a search that would visit one node past its budget. *)
+exception Out_of_budget
+
 (* ---- Bitmask subset DP for two buses. ----
    [mask] is the set of clusters on bus 0; tables are filled in one
-   imperative pass using the lowest-set-bit recurrence. *)
-let dp_two_bus problem clustering widths ~upper_bound nodes =
+   imperative pass using the lowest-set-bit recurrence. The scan visits
+   exactly [2^m] masks whatever the bound, so a budget too small for
+   them is refused before the tables are built. *)
+let dp_two_bus problem clustering widths ~upper_bound ~budget nodes =
   let m = Clustering.num_clusters clustering in
+  if 1 lsl m > budget then raise Out_of_budget;
   let time c b =
     Clustering.time clustering problem ~cluster:c ~width:widths.(b)
   in
@@ -43,7 +49,7 @@ let dp_two_bus problem clustering widths ~upper_bound nodes =
         pair_masks
     in
     if valid then begin
-      let t = max load0.(mask) load1.(full lxor mask) in
+      let t = Int.max load0.(mask) load1.(full lxor mask) in
       if t < !best then begin
         best := t;
         best_mask := mask
@@ -61,19 +67,23 @@ let dp_two_bus problem clustering widths ~upper_bound nodes =
         test_time = !best }
   end
 
-(* ---- Depth-first branch and bound over clusters (general case). ---- *)
-let branch_bound problem clustering widths ~upper_bound nodes =
+(* ---- Depth-first branch and bound over clusters (general case). ----
+   On [Out_of_budget] the best leaf found so far is still returned: it
+   is feasible, merely not proven optimal for these widths. *)
+let branch_bound problem clustering widths ~upper_bound ~budget nodes =
   let m = Clustering.num_clusters clustering in
   let nb = Array.length widths in
   let time = Array.init m (fun c ->
       Array.init nb (fun b ->
           Clustering.time clustering problem ~cluster:c ~width:widths.(b)))
   in
-  (* Clusters in decreasing order of their largest per-bus time. *)
+  (* Clusters in decreasing order of their largest per-bus time. The
+     int-typed [Int.max]/[Int.min] matter: the polymorphic ones call
+     the generic comparison, which dominated small searches. *)
   let order = Array.init m Fun.id in
-  let key c = Array.fold_left max 0 time.(c) in
-  Array.sort (fun a b -> compare (key b) (key a)) order;
-  let min_time = Array.init m (fun c -> Array.fold_left min max_int time.(c)) in
+  let key = Array.map (Array.fold_left Int.max 0) time in
+  Array.sort (fun a b -> Int.compare key.(b) key.(a)) order;
+  let min_time = Array.map (Array.fold_left Int.min max_int) time in
   let remaining_min = Array.make (m + 1) 0 in
   for k = m - 1 downto 0 do
     remaining_min.(k) <- remaining_min.(k + 1) + min_time.(order.(k))
@@ -90,6 +100,7 @@ let branch_bound problem clustering widths ~upper_bound nodes =
   let best = ref upper_bound in
   let best_assign = ref None in
   let rec explore k cur_max total_load =
+    if !nodes >= budget then raise Out_of_budget;
     incr nodes;
     if k = m then begin
       if cur_max < !best then begin
@@ -99,8 +110,7 @@ let branch_bound problem clustering widths ~upper_bound nodes =
     end
     else begin
       let bound =
-        max cur_max
-          ((total_load + remaining_min.(k) + nb - 1) / nb)
+        Int.max cur_max ((total_load + remaining_min.(k) + nb - 1) / nb)
       in
       if bound < !best then begin
         let c = order.(k) in
@@ -124,7 +134,7 @@ let branch_bound problem clustering widths ~upper_bound nodes =
             bus_mask.(b) <- bus_mask.(b) lor (1 lsl c);
             assign.(c) <- b;
             explore (k + 1)
-              (max cur_max loads.(b))
+              (Int.max cur_max loads.(b))
               (total_load + time.(c).(b));
             assign.(c) <- -1;
             bus_mask.(b) <- bus_mask.(b) land lnot (1 lsl c);
@@ -134,33 +144,44 @@ let branch_bound problem clustering widths ~upper_bound nodes =
       end
     end
   in
-  explore 0 0 0;
-  match !best_assign with
-  | None -> None
-  | Some cluster_assignment ->
-      Some
-        { assignment = Clustering.expand clustering cluster_assignment;
-          test_time = !best }
+  let complete =
+    match explore 0 0 0 with () -> true | exception Out_of_budget -> false
+  in
+  ( (match !best_assign with
+    | None -> None
+    | Some cluster_assignment ->
+        Some
+          { assignment = Clustering.expand clustering cluster_assignment;
+            test_time = !best }),
+    complete )
 
-let solve_with_stats ?(upper_bound = max_int) problem ~widths =
+let solve_with_stats ?(upper_bound = max_int) ?(node_budget = max_int)
+    problem ~widths =
   if Array.length widths <> Problem.num_buses problem then
     invalid_arg "Dp_assign.solve: widths/bus-count mismatch";
   let nodes = ref 0 in
-  let result =
+  let result, complete =
     match Clustering.build problem with
-    | Error _ -> None
+    | Error _ -> (None, true)
     | Ok clustering ->
         let m = Clustering.num_clusters clustering in
         if
           Array.length widths = 2
           && m <= dp_cluster_limit
           && m <= 62
-        then dp_two_bus problem clustering widths ~upper_bound nodes
+        then
+          match
+            dp_two_bus problem clustering widths ~upper_bound
+              ~budget:node_budget nodes
+          with
+          | outcome -> (outcome, true)
+          | exception Out_of_budget -> (None, false)
         else if m <= 62 then
-          branch_bound problem clustering widths ~upper_bound nodes
+          branch_bound problem clustering widths ~upper_bound
+            ~budget:node_budget nodes
         else invalid_arg "Dp_assign.solve: more than 62 clusters"
   in
-  (result, { nodes = !nodes })
+  (result, { nodes = !nodes; complete })
 
 let solve ?upper_bound problem ~widths =
   fst (solve_with_stats ?upper_bound problem ~widths)

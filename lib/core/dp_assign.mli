@@ -19,7 +19,12 @@ type outcome = {
   test_time : int;
 }
 
-type stats = { nodes : int }
+type stats = {
+  nodes : int;  (** Search nodes visited (masks, for the two-bus DP). *)
+  complete : bool;
+      (** [false] when [node_budget] ran out first: the outcome is then
+          the best assignment found so far, not a proof of optimality. *)
+}
 
 (** Maximum cluster count for the bitmask DP fast path (20). *)
 val dp_cluster_limit : int
@@ -33,9 +38,15 @@ val dp_cluster_limit : int
 val solve :
   ?upper_bound:int -> Problem.t -> widths:int array -> outcome option
 
-(** As {!solve}, also reporting search statistics. *)
+(** As {!solve}, also reporting search statistics.
+    @param node_budget visit at most this many nodes (default
+      unlimited). The two-bus DP always scans [2^clusters] masks, so it
+      declines up front, with no nodes spent, when they exceed the
+      budget. The budget is a plain argument, so concurrent searches on
+      different domains never share a counter. *)
 val solve_with_stats :
   ?upper_bound:int ->
+  ?node_budget:int ->
   Problem.t ->
   widths:int array ->
   outcome option * stats

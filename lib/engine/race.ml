@@ -51,6 +51,12 @@ type incumbent = {
    per-engine search statistics. *)
 type ctx = {
   problem : Problem.t;
+  partitions : int array array;
+      (* width partitions in {!Exact.width_partitions} order, shared by
+         the DP engine and the canonical re-derivation *)
+  mutable dp_next : int;
+      (* first partition the DP engine has not finished: set by the
+         sequential probe, so the resumed DP never solves one twice *)
   start : float;
   deadline_s : float option;
   cell : incumbent option Atomic.t;
@@ -155,45 +161,70 @@ let run_anneal ctx ~iterations =
       publish ctx Anneal architecture test_time
   | None -> ()
 
-(* The complete enumeration engine: every width partition, each pruned
-   by the freshest shared incumbent (the DP's [upper_bound] is
-   exclusive — equal-valued solutions are already covered by the cell).
-   Pruning with a stale (larger) bound is sound: it only prunes less.
-   Completing the enumeration un-cancelled proves nothing beats the
-   final incumbent, wherever it came from. *)
-let run_dp ctx =
-  let p = ctx.problem in
-  let partitions =
-    Exact.width_partitions ~total:(Problem.total_width p)
-      ~parts:(Problem.num_buses p)
-  in
+(* The complete enumeration engine over the partitions from [from]
+   on, each pruned by the freshest shared incumbent (the DP's
+   [upper_bound] is exclusive — equal-valued solutions are already
+   covered by the cell). Pruning with a stale (larger) bound is sound:
+   it only prunes less. Finishing the last partition un-cancelled
+   proves nothing beats the final incumbent, wherever it came from —
+   including partitions an earlier call finished against a looser
+   bound. Returns the first partition not finished: it stopped, or ran
+   out of [node_budget], which spans the whole call. *)
+let dp_partitions ?node_budget ctx from =
+  let n = Array.length ctx.partitions in
   let nodes = ref 0 in
-  let complete = ref true in
-  List.iter
-    (fun widths_list ->
-      if !complete then
-        if should_stop ctx () then complete := false
-        else begin
-          let upper_bound =
-            match Atomic.get ctx.cell with
-            | Some inc -> Some inc.best_time
-            | None -> None
-          in
-          let widths = Array.of_list widths_list in
-          let outcome, s =
-            Dp_assign.solve_with_stats ?upper_bound p ~widths
-          in
-          nodes := !nodes + s.Dp_assign.nodes;
-          match outcome with
-          | Some { Dp_assign.assignment; test_time } ->
-              publish ctx Dp (Architecture.make ~widths ~assignment) test_time
-          | None -> ()
-        end)
-    partitions;
+  let rec go i =
+    if i = n || should_stop ctx () then i
+    else begin
+      let upper_bound =
+        match Atomic.get ctx.cell with
+        | Some inc -> Some inc.best_time
+        | None -> None
+      in
+      let widths = ctx.partitions.(i) in
+      let outcome, s =
+        Dp_assign.solve_with_stats ?upper_bound
+          ?node_budget:(Option.map (fun b -> b - !nodes) node_budget)
+          ctx.problem ~widths
+      in
+      nodes := !nodes + s.Dp_assign.nodes;
+      (match outcome with
+      | Some { Dp_assign.assignment; test_time } ->
+          publish ctx Dp (Architecture.make ~widths ~assignment) test_time
+      | None -> ());
+      if s.Dp_assign.complete then go (i + 1) else i
+    end
+  in
+  let next = go from in
   Mutex.lock ctx.stats_mutex;
   ctx.dp_nodes <- ctx.dp_nodes + !nodes;
   Mutex.unlock ctx.stats_mutex;
-  if !complete then certify ctx Dp "dp"
+  if next = n then certify ctx Dp "dp";
+  next
+
+let run_dp ctx = ignore (dp_partitions ctx ctx.dp_next)
+
+(* Node budget of the sequential race's certify-first DP probe. The
+   designer loop's races are small: on perfbench's store_churn (6-10
+   cores) DP certified every one in 12-346 us, 160 nodes at the median
+   and 6,144 at most, while greedy and annealing spent ~2.6 of the
+   race's ~2.8 ms before DP started. At the ~134 ns per node measured
+   then, this budget is about 2 ms, roughly what greedy plus annealing
+   cost there, and 2.7x the largest need seen. So the probe closes
+   those races outright, and a race it cannot close pays at most about
+   one heuristic phase before the heuristics run (less since a DP node
+   costs ~45-75 ns, plus ~6-13 us of set-up per width partition on
+   24-32 cores). *)
+let probe_node_budget = 16_384
+
+let run_dp_probe ctx =
+  let sp = Obs.start () in
+  ctx.dp_next <- dp_partitions ~node_budget:probe_node_budget ctx 0;
+  Obs.finish
+    ~args:
+      [ ( "closed",
+          string_of_bool (ctx.dp_next = Array.length ctx.partitions) ) ]
+    "race.probe" sp
 
 (* The MILP engine races with its internal seeding off: the greedy
    engine already publishes to the cell, and the [?shared] hook folds
@@ -238,20 +269,18 @@ let run_engine ctx ~anneal_iterations e =
    makes the race's answer a pure function of the instance — identical
    across job counts and across which engine won the wall clock. The
    pass is cheap: the bound prunes all but near-optimal assignments. *)
-let canonical_architecture problem t_star =
+let canonical_architecture problem partitions t_star =
   Obs.span "race.finalize" @@ fun () ->
   let best = ref None in
   let best_time = ref (t_star + 1) in
-  List.iter
-    (fun widths_list ->
-      let widths = Array.of_list widths_list in
+  Array.iter
+    (fun widths ->
       match Dp_assign.solve ~upper_bound:!best_time problem ~widths with
       | Some { Dp_assign.assignment; test_time } ->
           best_time := test_time;
           best := Some (Architecture.make ~widths ~assignment, test_time)
       | None -> ())
-    (Exact.width_partitions ~total:(Problem.total_width problem)
-       ~parts:(Problem.num_buses problem));
+    partitions;
   !best
 
 let solve ?pool ?deadline_s ?(engines = default_engines)
@@ -259,6 +288,12 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
   let sp = Obs.start () in
   let ctx =
     { problem;
+      partitions =
+        Array.of_list
+          (List.map Array.of_list
+             (Exact.width_partitions ~total:(Problem.total_width problem)
+                ~parts:(Problem.num_buses problem)));
+      dp_next = 0;
       start = Clock.now_s ();
       deadline_s;
       cell = Atomic.make None;
@@ -279,10 +314,16 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
         (Pool.map_cancellable pool ~token:ctx.token ~f:run
            (Array.of_list engines))
   | Some _ | None ->
-      (* Sequential portfolio in list order: each engine inherits every
-         bound published before it, and a certificate (or the deadline)
-         skips the rest. *)
-      List.iter (fun e -> if not (should_stop ctx ()) then run e) engines);
+      (* Certify-first: the Pack bound, then the budgeted DP probe,
+         which closes most designer-loop races outright. Otherwise the
+         rest run in list order, each inheriting every bound published
+         before it, with DP resuming where the probe stopped; a
+         certificate (or the deadline) skips whatever is left. *)
+      let step e = if not (should_stop ctx ()) then run e in
+      let bound, rest = List.partition (( = ) Pack) engines in
+      List.iter step bound;
+      if List.mem Dp rest && not (should_stop ctx ()) then run_dp_probe ctx;
+      List.iter step rest);
   let ilp_stats = ctx.ilp_stats in
   let certificate = Atomic.get ctx.certificate in
   let incumbent = Atomic.get ctx.cell in
@@ -295,7 +336,9 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
                infeasible. *)
             (None, true, Some (engine_name engine), Some cert)
         | Some inc -> (
-            match canonical_architecture problem inc.best_time with
+            match
+              canonical_architecture problem ctx.partitions inc.best_time
+            with
             | Some (arch, t) ->
                 (Some (arch, t), true, Some (engine_name engine), Some cert)
             | None ->

@@ -43,9 +43,17 @@ type engine =
 val engine_name : engine -> string
 
 (** All five, in publication order: bound, then heuristics, then the
-    complete engines. Sequential (poolless) races run them in exactly
-    this order, so earlier engines seed bounds for later ones. *)
+    complete engines. Sequential (poolless) races run them in this
+    order, so earlier engines seed bounds for later ones — except that
+    DP first runs a probe of at most {!probe_node_budget} nodes right
+    after the bound (see {!solve}). *)
 val default_engines : engine list
+
+(** Node budget of the sequential race's certify-first DP probe
+    (16,384). Sized from measured designer-loop traffic: enough for DP
+    to certify every race there, small enough that a race the probe
+    cannot close pays about one heuristic phase for trying. *)
+val probe_node_budget : int
 
 (** One improving incumbent, in publication order. [elapsed_ms] is
     measured from race start on the publishing domain's clock. *)
@@ -81,9 +89,13 @@ type result = {
     optimum (or the best incumbent on deadline expiry).
 
     @param pool run engines concurrently on this pool (the caller joins
-      the crew). Without a pool — or on a one-domain pool — engines run
-      sequentially in {!default_engines} order with cancellation checks
-      between them; results are identical either way by construction.
+      the crew). Without a pool — or on a one-domain pool — the race is
+      sequential and certify-first: the [Pack] bound, then a DP probe
+      capped at {!probe_node_budget} nodes, which ends the race when it
+      certifies; otherwise the other engines run in list order with
+      cancellation checks between them, and DP resumes at the first
+      width partition the probe did not finish. Results are identical
+      either way by construction.
       Race tasks must not share a pool with an enclosing
       {!Pool.map} batch (pools do not nest); {!Sweep} therefore races
       sequentially inside each cell.

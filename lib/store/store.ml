@@ -120,7 +120,11 @@ type t = {
   faults : faults;
   mutex : Mutex.t;
   lock_fd : Unix.file_descr;
-  index : (string, location) Hashtbl.t;
+  index : (Digest.t, location) Hashtbl.t;
+      (* keyed by [slot key]: canonical keys run to a text line per
+         core, so the index holds their 16-byte digests instead; every
+         read checks the payload's full key, so a digest collision can
+         only cost a miss *)
   scans : (int, seg_scan) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -174,6 +178,8 @@ let with_file_lock t f =
       Unix.lockf t.lock_fd Unix.F_ULOCK 0)
     f
 
+let slot key = Digest.string key
+
 let read_file path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
@@ -190,18 +196,32 @@ let read_file path =
       let got = fill 0 in
       if got = size then buf else Bytes.sub buf 0 got)
 
-let key_of_payload payload =
+(* [len] bytes at [off], or [None] on a short read. *)
+let read_range path ~off ~len =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let buf = Bytes.create len in
+      let rec fill got =
+        if got = len then Some buf
+        else
+          match Unix.read fd buf got (len - got) with
+          | 0 -> None
+          | n -> fill (got + n)
+      in
+      if Unix.lseek fd off Unix.SEEK_SET = off then fill 0 else None)
+
+(* A payload's key and document, from one parse. *)
+let record_of_payload payload =
   match Json.parse payload with
   | Ok (Json.Obj fields) -> (
       match List.assoc_opt "key" fields with
-      | Some (Json.Str k) -> Some k
+      | Some (Json.Str k) -> Some (k, List.assoc_opt "doc" fields)
       | _ -> None)
   | _ -> None
 
-let doc_of_payload payload =
-  match Json.parse payload with
-  | Ok (Json.Obj fields) -> List.assoc_opt "doc" fields
-  | _ -> None
+let key_of_payload payload = Option.map fst (record_of_payload payload)
 
 (* Scans [seg] from its last-scanned offset, indexing every valid
    frame. A corrupt frame is skipped by resynchronizing on the next
@@ -272,7 +292,8 @@ let scan_segment ?(resync_torn = false) t seg =
             | Ok (payload, total) ->
                 (match key_of_payload payload with
                 | Some key ->
-                    Hashtbl.replace t.index key (Disk { seg; off; len = total });
+                    Hashtbl.replace t.index (slot key)
+                      (Disk { seg; off; len = total });
                     t.recovered <- t.recovered + 1
                 | None -> t.corrupt_frames <- t.corrupt_frames + 1);
                 state.valid_off <- off + total;
@@ -370,21 +391,30 @@ let close t =
 
 let dir t = t.dir
 
-let read_frame t ~key = function
-  | Mem payload -> doc_of_payload payload
+(* The payload at [loc], provided its bytes still form exactly the
+   indexed frame (magic, length, CRC). Only the frame's own [len] bytes
+   are read, so a hit costs one frame, not its segment. A short read or
+   any mismatch is [None]: a stale entry. *)
+let payload_at t = function
+  | Mem payload -> Some payload
   | Disk { seg; off; len } -> (
-      match read_file (seg_path t seg) with
+      match read_range (seg_path t seg) ~off ~len with
       | exception Unix.Unix_error (_, _, _) -> None
-      | buf ->
-          if Bytes.length buf < off + len then None
-          else
-            (match
-               Frame.decode ~verify:(not t.faults.skip_crc) buf ~pos:off
-                 ~avail:(Bytes.length buf - off)
-             with
-            | Ok (payload, _) when key_of_payload payload = Some key ->
-                doc_of_payload payload
-            | _ -> None))
+      | None -> None
+      | Some buf -> (
+          match
+            Frame.decode ~verify:(not t.faults.skip_crc) buf ~pos:0 ~avail:len
+          with
+          | Ok (payload, total) when total = len -> Some payload
+          | _ -> None))
+
+(* The document at [loc] if its payload carries exactly [key]: the
+   index is keyed by digest, so this check is what keeps a collision a
+   miss. *)
+let read_frame t ~key loc =
+  match Option.bind (payload_at t loc) record_of_payload with
+  | Some (k, doc) when k = key -> doc
+  | _ -> None
 
 let find t key =
   locked t (fun () ->
@@ -392,14 +422,15 @@ let find t key =
          moved out from under us (a compaction in another process), as
          opposed to the key never having been stored. *)
       let stale = ref false in
+      let h = slot key in
       let attempt () =
-        match Hashtbl.find_opt t.index key with
+        match Hashtbl.find_opt t.index h with
         | None -> None
         | Some loc -> (
             match read_frame t ~key loc with
             | Some doc -> Some doc
             | None ->
-                Hashtbl.remove t.index key;
+                Hashtbl.remove t.index h;
                 stale := true;
                 None)
       in
@@ -499,13 +530,13 @@ let add t key doc =
           | last :: _ -> truncate_torn_tail t last);
           let payload = payload_of ~key doc in
           if t.faults.drop_writes then
-            Hashtbl.replace t.index key (Mem payload)
+            Hashtbl.replace t.index (slot key) (Mem payload)
           else begin
             let seg, off = active_segment t in
             let frame = Frame.encode payload in
             append_frame t ~seg ~off frame;
             let len = String.length frame in
-            Hashtbl.replace t.index key (Disk { seg; off; len });
+            Hashtbl.replace t.index (slot key) (Disk { seg; off; len });
             let state =
               match Hashtbl.find_opt t.scans seg with
               | Some s -> s
@@ -530,7 +561,8 @@ let append_torn t ~key ~doc ~keep_bytes =
           let seg, _off = active_segment t in
           append_frame t ~seg ~off:0 (String.sub frame 0 keep)))
 
-(* Live payloads in deterministic (key-sorted) order. Under the
+(* Live payloads in deterministic (key-sorted) order, keys read back
+   from the payloads since the index holds only digests. Under the
    [compact_keeps_first] fault the oldest record per key is kept
    instead of the newest — the stale-optimum bug the torture oracle
    must catch. *)
@@ -564,14 +596,15 @@ let live_payloads t =
     |> List.sort compare
   end
   else
+    (* A stale entry can point at another key's frame of the same
+       length; only a payload whose key digests to the entry's own slot
+       is that entry's record. *)
     Hashtbl.fold
-      (fun key loc acc ->
-        match loc with
-        | Mem payload -> (key, payload) :: acc
-        | Disk _ -> (
-            match read_frame t ~key loc with
-            | Some doc -> (key, payload_of ~key doc) :: acc
-            | None -> acc))
+      (fun h loc acc ->
+        match Option.bind (payload_at t loc) record_of_payload with
+        | Some (key, Some doc) when slot key = h ->
+            (key, payload_of ~key doc) :: acc
+        | _ -> acc)
       t.index []
     |> List.sort compare
 
@@ -618,7 +651,8 @@ let compact t =
           Hashtbl.reset t.scans;
           List.iter
             (fun (key, off, len) ->
-              Hashtbl.replace t.index key (Disk { seg = new_id; off; len }))
+              Hashtbl.replace t.index (slot key)
+                (Disk { seg = new_id; off; len }))
             !offsets;
           let size =
             match (Unix.stat (seg_path t new_id)).Unix.st_size with
@@ -656,7 +690,7 @@ let stats t =
 
 let locate t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.index key with
+      match Hashtbl.find_opt t.index (slot key) with
       | Some (Disk { seg; off; len } as loc) ->
           (* Validate against the bytes on disk before handing out the
              location: a truncate-and-append can reuse a stale entry's

@@ -109,6 +109,107 @@ let test_race_expired_deadline () =
   Alcotest.(check bool) "no solution (nothing ran)" true
     (r.Race.solution = None)
 
+(* ---- the certify-first probe ---- *)
+
+let architecture_of (r : Race.result) =
+  match r.Race.solution with
+  | Some (arch, t) -> (arch, t)
+  | None -> Alcotest.fail "expected a feasible certified solution"
+
+let check_architecture name (a : Architecture.t) ~widths ~assignment =
+  Alcotest.(check (array int)) (name ^ " widths") widths a.Architecture.widths;
+  Alcotest.(check (array int))
+    (name ^ " assignment") assignment a.Architecture.assignment
+
+(* Instances the probe closes end before the heuristics start: every
+   streamed incumbent is DP's. The certified architecture is Exact's,
+   and the one the heuristics-first order certified (recorded here). *)
+let test_probe_closes_easy_instances () =
+  List.iter
+    (fun (name, problem, t_golden, widths, assignment) ->
+      let events = ref [] in
+      let r =
+        Race.solve ~on_event:(fun ev -> events := ev :: !events) problem
+      in
+      Alcotest.(check bool) (name ^ " optimal") true r.Race.optimal;
+      Alcotest.(check (option string)) (name ^ " winner") (Some "dp")
+        r.Race.winner;
+      Alcotest.(check (list string))
+        (name ^ " only dp incumbents")
+        (List.map (fun _ -> "dp") !events)
+        (List.map (fun ev -> ev.Race.engine) !events);
+      let arch, t = architecture_of r in
+      Alcotest.(check int) (name ^ " heuristics-first optimum") t_golden t;
+      check_architecture (name ^ " heuristics-first") arch ~widths ~assignment;
+      match (Exact.solve problem).Exact.solution with
+      | Some (exact, t_exact) ->
+          Alcotest.(check int) (name ^ " exact optimum") t_exact t;
+          check_architecture (name ^ " exact") arch
+            ~widths:exact.Architecture.widths
+            ~assignment:exact.Architecture.assignment
+      | None -> Alcotest.fail "exact found no solution")
+    [ ( "constrained s2 W16",
+        constrained_problem (),
+        597588,
+        [| 8; 6; 2 |],
+        [| 1; 0; 2; 0; 0; 1; 0; 0; 2; 0 |] );
+      ( "s2 W24",
+        Problem.make (Benchmarks.s2 ()) ~num_buses:3 ~total_width:24,
+        391087,
+        [| 9; 8; 7 |],
+        [| 1; 2; 2; 0; 2; 2; 0; 1; 0; 1 |] ) ]
+
+(* 32 cores on 5 buses: far past the probe's budget. *)
+let hard_problem () =
+  Problem.make
+    (Benchmarks.random ~seed:7 ~num_cores:32 ())
+    ~num_buses:5 ~total_width:56
+
+let heuristic ev = ev.Race.engine = "greedy" || ev.Race.engine = "anneal"
+
+(* An instance the probe cannot close falls through to the heuristics,
+   and DP resumes where the probe stopped to certify Exact's optimum,
+   identically across job counts. *)
+let test_probe_falls_through () =
+  let problem = hard_problem () in
+  let events = ref [] in
+  let r = Race.solve ~on_event:(fun ev -> events := ev :: !events) problem in
+  Alcotest.(check bool) "optimal" true r.Race.optimal;
+  Alcotest.(check bool) "past the probe's budget" true
+    (r.Race.nodes > Race.probe_node_budget);
+  Alcotest.(check bool) "heuristics published" true
+    (List.exists heuristic !events);
+  let arch, t = architecture_of r in
+  (match (Exact.solve problem).Exact.solution with
+  | Some (_, t_exact) -> Alcotest.(check int) "exact optimum" t_exact t
+  | None -> Alcotest.fail "exact found no solution");
+  let arch2, t2 = architecture_of (race_with_jobs problem 2) in
+  Alcotest.(check int) "jobs=2 time" t t2;
+  check_architecture "jobs=2" arch2 ~widths:arch.Architecture.widths
+    ~assignment:arch.Architecture.assignment
+
+(* The probe is node-budgeted, so a deadline race stays anytime: it
+   still hands back a heuristic incumbent, uncertified. On 36 cores the
+   first greedy incumbent lands within tens of milliseconds and the
+   full race takes most of a second. *)
+let test_probe_keeps_deadline_races_anytime () =
+  let problem =
+    Problem.make
+      (Benchmarks.random ~seed:7 ~num_cores:36 ())
+      ~num_buses:5 ~total_width:64
+  in
+  let events = ref [] in
+  let r =
+    Race.solve
+      ~deadline_s:(Clock.now_s () +. 0.1)
+      ~on_event:(fun ev -> events := ev :: !events)
+      problem
+  in
+  Alcotest.(check bool) "not optimal" false r.Race.optimal;
+  Alcotest.(check bool) "incumbent returned" true (r.Race.solution <> None);
+  Alcotest.(check bool) "heuristic incumbent streamed" true
+    (List.exists heuristic !events)
+
 let prop_race_matches_exact =
   QCheck.Test.make ~name:"race certifies the exact optimum" ~count:25
     Gen.spec_arbitrary (fun spec ->
@@ -129,4 +230,10 @@ let suite =
       test_race_incomplete_portfolio;
     Alcotest.test_case "expired deadline yields a partial verdict" `Quick
       test_race_expired_deadline;
+    Alcotest.test_case "probe closes easy instances with dp alone" `Quick
+      test_probe_closes_easy_instances;
+    Alcotest.test_case "probe falls through to the full race" `Quick
+      test_probe_falls_through;
+    Alcotest.test_case "deadline race with a probe stays anytime" `Quick
+      test_probe_keeps_deadline_races_anytime;
     QCheck_alcotest.to_alcotest prop_race_matches_exact ]

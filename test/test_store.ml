@@ -279,6 +279,126 @@ let test_miss_does_not_rebuild () =
   Alcotest.(check int) "no rebuilds on genuine misses" 0 s.Store.rescans;
   Store.close st
 
+(* ---- a hit reads only its own frame ---- *)
+
+let int_doc v = Json.Obj [ ("v", Json.int v) ]
+
+let served_int st key =
+  match Store.find st key with
+  | Some (Json.Obj [ ("v", Json.Num v) ]) -> Some (int_of_float v)
+  | Some _ -> Alcotest.failf "key %s served a garbage doc" key
+  | None -> None
+
+let located st key =
+  match Store.locate st key with
+  | Some loc -> loc
+  | None -> Alcotest.failf "key %s not located" key
+
+(* Flips one payload byte of the frame at [off], so its CRC fails. *)
+let flip_payload_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let pos = off + Frame.header_bytes + 2 in
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd pos Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
+      ignore (Unix.lseek fd pos Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1))
+
+let overwrite path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* A hit checks the indexed frame's own bytes and nothing else, so
+   damage before and after it in the same segment never costs the hit
+   — neither through the live index nor after a recovery scan. *)
+let test_hit_beside_corrupt_frames () =
+  with_tmp_dir @@ fun dir ->
+  let st = Store.open_store ~fsync:false dir in
+  List.iteri (fun i k -> Store.add st k (int_doc i)) [ "a"; "b"; "c" ];
+  List.iter
+    (fun k ->
+      let path, off, _ = located st k in
+      flip_payload_byte path off)
+    [ "a"; "c" ];
+  Alcotest.(check (option int)) "b served" (Some 1) (served_int st "b");
+  Alcotest.(check int) "served from the index" 0 (Store.stats st).Store.rescans;
+  Store.close st;
+  let st = Store.open_store ~fsync:false dir in
+  Alcotest.(check (option int)) "b served after reopen" (Some 1)
+    (served_int st "b");
+  Alcotest.(check (option int)) "damaged a not served" None (served_int st "a");
+  Alcotest.(check (option int)) "damaged c not served" None (served_int st "c");
+  Store.close st
+
+(* An index entry is trusted only when the bytes at its offset form
+   exactly the indexed frame, for exactly its key. Rewritten under a
+   live handle, another key's frame of the same length is a miss for
+   the stale key, and a frame of a different length is refused even
+   under the right key: the store rescans and serves what is really on
+   disk. *)
+let test_stale_entry_is_a_miss () =
+  let frame key doc =
+    Frame.encode (Json.to_string (Json.Obj [ ("key", Json.Str key); ("doc", doc) ]))
+  in
+  (with_tmp_dir @@ fun dir ->
+   let st = Store.open_store ~fsync:false dir in
+   Store.add st "k1" (int_doc 1);
+   let path, off, len = located st "k1" in
+   let other = frame "k2" (int_doc 2) in
+   Alcotest.(check (pair int int)) "same offset and length" (0, len)
+     (off, String.length other);
+   overwrite path other;
+   Alcotest.(check (option int)) "stale key misses" None (served_int st "k1");
+   Alcotest.(check (option int)) "other key served" (Some 2)
+     (served_int st "k2");
+   Store.close st);
+  List.iter
+    (fun (before, after) ->
+      with_tmp_dir @@ fun dir ->
+      let st = Store.open_store ~fsync:false dir in
+      Store.add st "k1" (int_doc before);
+      let path, _, len = located st "k1" in
+      let replacement = frame "k1" (int_doc after) in
+      Alcotest.(check bool) "frame length differs" true
+        (String.length replacement <> len);
+      (* Pad a shorter frame so the indexed range still reads in full. *)
+      overwrite path
+        (replacement ^ String.make (max 0 (len - String.length replacement)) ' ');
+      Alcotest.(check bool)
+        (Printf.sprintf "%d -> %d: length mismatch refused" before after)
+        true
+        (Store.locate st "k1" = None);
+      Alcotest.(check (option int))
+        (Printf.sprintf "%d -> %d: rescan serves the bytes on disk" before
+           after)
+        (Some after) (served_int st "k1");
+      Store.close st)
+    [ (1, 100); (100, 1) ]
+
+(* A torn frame truncated away by the next append leaves its key's
+   index entry pointing at the new frame, which here has the same
+   length. Compaction reads keys back from payloads, so it must keep a
+   payload only under its own entry: the stale one must not resurrect
+   k1's older value. *)
+let test_compaction_skips_stale_entry () =
+  with_tmp_dir @@ fun dir ->
+  let st = Store.open_store ~fsync:false dir in
+  Store.add st "k3" (int_doc 11);
+  let path, _, len = located st "k3" in
+  Unix.truncate path (len - 4);
+  Store.add st "k1" (int_doc 12);
+  Store.add st "k1" (int_doc 14);
+  Store.compact st;
+  Alcotest.(check (option int)) "newest k1 survives" (Some 14)
+    (served_int st "k1");
+  Alcotest.(check (option int)) "torn k3 not served" None (served_int st "k3");
+  Store.close st
+
 (* ---- compaction equivalence ---- *)
 
 let test_compaction_equivalence () =
@@ -564,6 +684,12 @@ let suite =
       test_append_after_torn_tail_recovers;
     Alcotest.test_case "genuine misses never trigger a rebuild" `Quick
       test_miss_does_not_rebuild;
+    Alcotest.test_case "hit served beside corrupt frames" `Quick
+      test_hit_beside_corrupt_frames;
+    Alcotest.test_case "stale index entry is a miss" `Quick
+      test_stale_entry_is_a_miss;
+    Alcotest.test_case "compaction skips a stale entry" `Quick
+      test_compaction_skips_stale_entry;
     Alcotest.test_case "compaction equivalence" `Quick
       test_compaction_equivalence;
     Alcotest.test_case "two processes share one directory" `Quick
