@@ -659,10 +659,14 @@ let table_a5 () =
 (* ------------------------------------------------------------------ *)
 (* B1: flexible-width rectangle scheduling vs the fixed-bus model.     *)
 
+(* Node budget of B1's exact packing pass: the fuzz oracle's cap. The
+   pass is seeded with the fixed-bus optimum, so a blown budget still
+   leaves every cell no worse than the paper's model. *)
+let b1_pack_node_budget = 200_000
+
 let table_b1 () =
   section "B1"
     "extension: flexible-width rectangle scheduling vs fixed buses";
-  let module Rect_sched = Soctam_sched.Rect_sched in
   List.iter
     (fun (soc, time_model) ->
       Printf.printf "SOC %s, %s model (2 fixed buses vs free rectangles):\n"
@@ -674,13 +678,15 @@ let table_b1 () =
             let problem =
               Problem.make ~time_model soc ~num_buses:2 ~total_width:w
             in
-            let fixed =
-              match (Exact.solve problem).Exact.solution with
-              | Some (_, t) -> t
-              | None -> -1
-            in
+            let optimum = (Exact.solve problem).Exact.solution in
+            let fixed = match optimum with Some (_, t) -> t | None -> -1 in
             let flexible =
-              match Rect_sched.solve problem with
+              let r =
+                Pack.solve ~node_budget:b1_pack_node_budget
+                  ~seed_archs:(Option.to_list (Option.map fst optimum))
+                  problem
+              in
+              match r.Pack.packing with
               | Some sched -> (
                   match Rect_sched.validate problem sched with
                   | Ok () -> sched.Rect_sched.makespan
@@ -689,6 +695,9 @@ let table_b1 () =
                       -1)
               | None -> -1
             in
+            if fixed >= 0 && flexible > fixed then
+              Printf.printf "!! B1 W=%d: packing %d loses to fixed buses %d\n"
+                w flexible fixed;
             let lb = Rect_sched.lower_bound problem in
             [ string_of_int w;
               string_of_int fixed;
@@ -713,9 +722,10 @@ let table_b1 () =
   print_endline
     "(per-core width selection + rectangle packing generalizes the\n\
     \ fixed-bus model; under the serialization staircase the fixed-bus\n\
-    \ optimum already sits on the area bound, while the wrapper-aware\n\
-    \ scan-distribution model leaves real room -- the gap the successor\n\
-    \ formulations of this paper series went after)"
+    \ optimum already sits within a few percent of the area bound and\n\
+    \ packing rarely closes any of it, while the wrapper-aware\n\
+    \ scan-distribution model leaves real room, up to the area bound --\n\
+    \ the gap the successor formulations of this paper series went after)"
 
 (* ------------------------------------------------------------------ *)
 (* A9: width sub-problem P2: polynomial DP and alternating descent.    *)

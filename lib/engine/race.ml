@@ -6,21 +6,173 @@ module Ilp = Soctam_core.Ilp_formulation
 module Heuristics = Soctam_core.Heuristics
 module Annealing = Soctam_core.Annealing
 module Rect_sched = Soctam_sched.Rect_sched
+module Pack = Soctam_pack.Pack
 module Obs = Soctam_obs.Obs
 module Clock = Soctam_obs.Clock
 
-type engine = Pack | Greedy | Anneal | Dp | Ilp
-
-let engine_name = function
-  | Pack -> "pack"
-  | Greedy -> "greedy"
-  | Anneal -> "anneal"
-  | Dp -> "dp"
-  | Ilp -> "ilp"
-
-let default_engines = [ Pack; Greedy; Anneal; Dp; Ilp ]
-
 type event = { test_time : int; engine : string; elapsed_ms : float }
+
+(* ------------------------------------------------------------------ *)
+(* The race protocol, shared by both families                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything one race's engines share, over incumbents of type ['a]
+   scored by [cost]. The three protocol atomics hold the incumbent with
+   the engine that published it, the lower bound, and the certificate
+   with the engine that issued it; [stop] and [token] carry
+   cancellation. *)
+type 'a ctx = {
+  cost : 'a -> int;
+  start : float;
+  deadline_s : float option;
+  cell : (string * 'a) option Atomic.t;
+  lb : int Atomic.t;
+  certificate : (string * string) option Atomic.t;
+  stop : bool Atomic.t;
+  token : Pool.Cancel.token;
+  published : int Atomic.t;
+  nodes : int Atomic.t;  (* search nodes of the family's complete engines *)
+  on_event : event -> unit;
+}
+
+let create ?deadline_s ?(on_event = fun _ -> ()) cost =
+  { cost;
+    start = Clock.now_s ();
+    deadline_s;
+    cell = Atomic.make None;
+    lb = Atomic.make min_int;
+    certificate = Atomic.make None;
+    stop = Atomic.make false;
+    token = Pool.Cancel.create ();
+    published = Atomic.make 0;
+    nodes = Atomic.make 0;
+    on_event }
+
+let should_stop ctx () =
+  Atomic.get ctx.stop
+  ||
+  match ctx.deadline_s with
+  | Some d -> Clock.now_s () > d
+  | None -> false
+
+let incumbent_cost ctx =
+  Option.map (fun (_, inc) -> ctx.cost inc) (Atomic.get ctx.cell)
+
+(* First certificate wins; losers are cancelled cooperatively (stop
+   flag, polled down to the simplex pivot level) and preemptively
+   (queued pool tasks never start). *)
+let certify ctx engine cert =
+  if Atomic.compare_and_set ctx.certificate None (Some (engine, cert))
+  then begin
+    Obs.incr ("race.winner." ^ engine);
+    Atomic.set ctx.stop true;
+    Pool.Cancel.cancel ctx.token
+  end
+
+(* Monotone max on the shared lower bound, then check whether the
+   current incumbent already meets it (a bound-match certificate). *)
+let rec raise_lb ctx engine bound =
+  let cur = Atomic.get ctx.lb in
+  if bound > cur && not (Atomic.compare_and_set ctx.lb cur bound) then
+    raise_lb ctx engine bound
+  else
+    match incumbent_cost ctx with
+    | Some t when t <= Atomic.get ctx.lb -> certify ctx engine "bound"
+    | _ -> ()
+
+(* Publish a feasible incumbent. Strict improvement only, via CAS, so
+   the cell's cost is monotone non-increasing and every successful
+   publication is a genuinely improving event. *)
+let rec publish ctx engine incumbent =
+  let cost = ctx.cost incumbent in
+  let cur = Atomic.get ctx.cell in
+  match cur with
+  | Some (_, inc) when ctx.cost inc <= cost -> ()
+  | _ ->
+      if Atomic.compare_and_set ctx.cell cur (Some (engine, incumbent)) then begin
+        Atomic.incr ctx.published;
+        Obs.incr "race.incumbent";
+        Obs.incr ("race.incumbent." ^ engine);
+        ctx.on_event
+          { test_time = cost;
+            engine;
+            elapsed_ms = 1000.0 *. Clock.elapsed_s ~since:ctx.start };
+        if cost <= Atomic.get ctx.lb then certify ctx engine "bound"
+      end
+      else publish ctx engine incumbent
+
+let add_nodes ctx n = ignore (Atomic.fetch_and_add ctx.nodes n : int)
+
+(* One racing engine. A [solo] engine runs only in a sequential race,
+   where going first lets it close the race before the others start. *)
+type engine = { name : string; solo : bool; run : unit -> unit }
+
+let engine ?(solo = false) name run = { name; solo; run }
+
+type 'a verdict = {
+  best : 'a option;
+  optimal : bool;
+  winner : string option;
+  certificate : string option;
+  incumbents : int;
+  elapsed_s : float;
+}
+
+(* Run [engines] to a verdict: all at once on a pool of more than one
+   domain (the caller joins the crew), otherwise one after another in
+   list order, each inheriting every bound published before it, until a
+   certificate or the deadline skips the rest. A certified incumbent is
+   replaced by [canonical]'s re-derivation at the certified cost, which
+   makes the answer a pure function of the instance: identical across
+   job counts and across which engine won the wall clock. Should the
+   re-derivation come back empty (a pathology guard ran out), the live
+   incumbent stands: still correct, merely not canonical. *)
+let race ?pool ctx ~span ~canonical engines =
+  let sp = Obs.start () in
+  let run e =
+    let sp = Obs.start () in
+    e.run ();
+    Obs.finish ~args:[ ("engine", e.name) ] "race.engine" sp
+  in
+  (match pool with
+  | Some pool when Pool.num_domains pool > 1 ->
+      ignore
+        (Pool.map_cancellable pool ~token:ctx.token ~f:run
+           (Array.of_list (List.filter (fun e -> not e.solo) engines)))
+  | Some _ | None ->
+      List.iter (fun e -> if not (should_stop ctx ()) then run e) engines);
+  let best, optimal, winner, certificate =
+    match (Atomic.get ctx.certificate, Atomic.get ctx.cell) with
+    | Some (engine, cert), None ->
+        (* A complete engine finished with an empty cell: proven
+           infeasible. *)
+        (None, true, Some engine, Some cert)
+    | Some (engine, cert), Some (_, inc) ->
+        let canon = Option.value (canonical (ctx.cost inc)) ~default:inc in
+        (Some canon, true, Some engine, Some cert)
+    | None, Some (source, inc) ->
+        (* Deadline expired before any certificate: hand back the best
+           incumbent as is, honestly uncertified. *)
+        (Some inc, false, Some source, None)
+    | None, None -> (None, false, None, None)
+  in
+  let incumbents = Atomic.get ctx.published in
+  Obs.finish
+    ~args:
+      [ ("winner", Option.value winner ~default:"none");
+        ("certificate", Option.value certificate ~default:"none");
+        ("incumbents", string_of_int incumbents) ]
+    span sp;
+  { best;
+    optimal;
+    winner;
+    certificate;
+    incumbents;
+    elapsed_s = Clock.elapsed_s ~since:ctx.start }
+
+(* ------------------------------------------------------------------ *)
+(* The partition family                                                *)
+(* ------------------------------------------------------------------ *)
 
 type result = {
   solution : (Architecture.t * int) option;
@@ -39,96 +191,9 @@ type result = {
   elapsed_s : float;
 }
 
-type incumbent = {
-  architecture : Architecture.t;
-  best_time : int;
-  source : engine;
-}
-
-(* Everything the racing engines share. The three atomics carry the
-   protocol (incumbent, lower bound, certificate); [stop] and [token]
-   carry cancellation; the mutex guards only cold-path aggregation of
-   per-engine search statistics. *)
-type ctx = {
-  problem : Problem.t;
-  partitions : int array array;
-      (* width partitions in {!Exact.width_partitions} order, shared by
-         the DP engine and the canonical re-derivation *)
-  mutable dp_next : int;
-      (* first partition the DP engine has not finished: set by the
-         sequential probe, so the resumed DP never solves one twice *)
-  start : float;
-  deadline_s : float option;
-  cell : incumbent option Atomic.t;
-  lb : int Atomic.t;
-  certificate : (engine * string) option Atomic.t;
-  stop : bool Atomic.t;
-  token : Pool.Cancel.token;
-  published : int Atomic.t;
-  on_event : event -> unit;
-  stats_mutex : Mutex.t;
-  mutable dp_nodes : int;
-  mutable ilp_stats : Ilp.solve_stats option;
-}
-
-let should_stop ctx () =
-  Atomic.get ctx.stop
-  ||
-  match ctx.deadline_s with
-  | Some d -> Clock.now_s () > d
-  | None -> false
-
-(* First certificate wins; losers are cancelled cooperatively (stop
-   flag, polled down to the simplex pivot level) and preemptively
-   (queued pool tasks never start). *)
-let certify ctx engine cert =
-  if Atomic.compare_and_set ctx.certificate None (Some (engine, cert))
-  then begin
-    Obs.incr (Printf.sprintf "race.winner.%s" (engine_name engine));
-    Atomic.set ctx.stop true;
-    Pool.Cancel.cancel ctx.token
-  end
-
-(* Monotone max on the shared lower bound, then check whether the
-   current incumbent already meets it (a bound-match certificate). *)
-let rec raise_lb ctx engine bound =
-  let cur = Atomic.get ctx.lb in
-  if bound > cur && not (Atomic.compare_and_set ctx.lb cur bound) then
-    raise_lb ctx engine bound
-  else
-    match Atomic.get ctx.cell with
-    | Some inc when inc.best_time <= Atomic.get ctx.lb ->
-        certify ctx engine "bound"
-    | _ -> ()
-
-(* Publish a feasible architecture. Strict improvement only, via CAS,
-   so the cell's test time is monotone non-increasing and every
-   successful publication is a genuinely improving event. *)
-let rec publish ctx source architecture best_time =
-  let cur = Atomic.get ctx.cell in
-  match cur with
-  | Some inc when inc.best_time <= best_time -> ()
-  | _ ->
-      if
-        Atomic.compare_and_set ctx.cell cur
-          (Some { architecture; best_time; source })
-      then begin
-        Atomic.incr ctx.published;
-        Obs.incr "race.incumbent";
-        Obs.incr (Printf.sprintf "race.incumbent.%s" (engine_name source));
-        ctx.on_event
-          { test_time = best_time;
-            engine = engine_name source;
-            elapsed_ms = 1000.0 *. Clock.elapsed_s ~since:ctx.start };
-        if best_time <= Atomic.get ctx.lb then certify ctx source "bound"
-      end
-      else publish ctx source architecture best_time
-
-let run_pack ctx =
+let run_pack ctx problem =
   let bound =
-    max
-      (Problem.lower_bound ctx.problem)
-      (Rect_sched.lower_bound ctx.problem)
+    max (Problem.lower_bound problem) (Rect_sched.lower_bound problem)
   in
   (* The rectangle model is a relaxation of fixed buses (every
      architecture converts to a rectangle schedule of equal makespan),
@@ -137,29 +202,28 @@ let run_pack ctx =
      partition optimum, and publishing it into the cell would make the
      DP/ILP engines prune the true partition optimum away. The packing
      family races for real in {!solve_pack}, against its own cell. *)
-  raise_lb ctx Pack bound
+  raise_lb ctx "pack" bound
 
-let run_greedy ctx =
-  match
-    Heuristics.solve ~should_stop:(should_stop ctx)
-      ~report:(fun { Heuristics.architecture; test_time } ->
-        publish ctx Greedy architecture test_time)
-      ctx.problem
-  with
-  | Some { Heuristics.architecture; test_time } ->
-      publish ctx Greedy architecture test_time
-  | None -> ()
+let run_greedy ctx problem =
+  let publish_outcome { Heuristics.architecture; test_time } =
+    publish ctx "greedy" (architecture, test_time)
+  in
+  Option.iter publish_outcome
+    (Heuristics.solve ~should_stop:(should_stop ctx) ~report:publish_outcome
+       problem)
 
-let run_anneal ctx ~iterations =
-  match
-    Annealing.solve ~iterations ~should_stop:(should_stop ctx)
-      ~report:(fun { Annealing.architecture; test_time } ->
-        publish ctx Anneal architecture test_time)
-      ctx.problem
-  with
-  | Some { Annealing.architecture; test_time } ->
-      publish ctx Anneal architecture test_time
-  | None -> ()
+(* Annealing schedule length in a race: shorter than the standalone
+   default, since here the annealer is a refinement engine, not the last
+   word. *)
+let anneal_iterations = 4000
+
+let run_anneal ctx problem =
+  let publish_outcome { Annealing.architecture; test_time } =
+    publish ctx "anneal" (architecture, test_time)
+  in
+  Option.iter publish_outcome
+    (Annealing.solve ~iterations:anneal_iterations
+       ~should_stop:(should_stop ctx) ~report:publish_outcome problem)
 
 (* The complete enumeration engine over the partitions from [from]
    on, each pruned by the freshest shared incumbent (the DP's
@@ -170,39 +234,30 @@ let run_anneal ctx ~iterations =
    including partitions an earlier call finished against a looser
    bound. Returns the first partition not finished: it stopped, or ran
    out of [node_budget], which spans the whole call. *)
-let dp_partitions ?node_budget ctx from =
-  let n = Array.length ctx.partitions in
+let dp_partitions ?node_budget ctx problem partitions from =
+  let n = Array.length partitions in
   let nodes = ref 0 in
   let rec go i =
     if i = n || should_stop ctx () then i
     else begin
-      let upper_bound =
-        match Atomic.get ctx.cell with
-        | Some inc -> Some inc.best_time
-        | None -> None
-      in
-      let widths = ctx.partitions.(i) in
+      let widths = partitions.(i) in
       let outcome, s =
-        Dp_assign.solve_with_stats ?upper_bound
+        Dp_assign.solve_with_stats ?upper_bound:(incumbent_cost ctx)
           ?node_budget:(Option.map (fun b -> b - !nodes) node_budget)
-          ctx.problem ~widths
+          problem ~widths
       in
       nodes := !nodes + s.Dp_assign.nodes;
       (match outcome with
       | Some { Dp_assign.assignment; test_time } ->
-          publish ctx Dp (Architecture.make ~widths ~assignment) test_time
+          publish ctx "dp" (Architecture.make ~widths ~assignment, test_time)
       | None -> ());
       if s.Dp_assign.complete then go (i + 1) else i
     end
   in
   let next = go from in
-  Mutex.lock ctx.stats_mutex;
-  ctx.dp_nodes <- ctx.dp_nodes + !nodes;
-  Mutex.unlock ctx.stats_mutex;
-  if next = n then certify ctx Dp "dp";
+  add_nodes ctx !nodes;
+  if next = n then certify ctx "dp" "dp";
   next
-
-let run_dp ctx = ignore (dp_partitions ctx ctx.dp_next)
 
 (* Node budget of the sequential race's certify-first DP probe. The
    designer loop's races are small: on perfbench's store_churn (6-10
@@ -217,14 +272,17 @@ let run_dp ctx = ignore (dp_partitions ctx ctx.dp_next)
    24-32 cores). *)
 let probe_node_budget = 16_384
 
-let run_dp_probe ctx =
+(* Returns the first partition the probe did not finish, where the
+   resumed DP engine picks up. *)
+let run_dp_probe ctx problem partitions =
   let sp = Obs.start () in
-  ctx.dp_next <- dp_partitions ~node_budget:probe_node_budget ctx 0;
+  let next =
+    dp_partitions ~node_budget:probe_node_budget ctx problem partitions 0
+  in
   Obs.finish
-    ~args:
-      [ ( "closed",
-          string_of_bool (ctx.dp_next = Array.length ctx.partitions) ) ]
-    "race.probe" sp
+    ~args:[ ("closed", string_of_bool (next = Array.length partitions)) ]
+    "race.probe" sp;
+  next
 
 (* The MILP engine races with its internal seeding off: the greedy
    engine already publishes to the cell, and the [?shared] hook folds
@@ -232,43 +290,23 @@ let run_dp_probe ctx =
    entry. On an un-cancelled completion, [optimal = true] with no
    solution means "nothing strictly beats the tightest shared bound
    observed" — which certifies the cell. *)
-let run_ilp ctx =
+let run_ilp ctx problem =
   let r =
     Ilp.solve ~seed_incumbent:false
-      ~shared:(fun () ->
-        match Atomic.get ctx.cell with
-        | Some inc -> Some inc.best_time
-        | None -> None)
-      ~on_incumbent:(fun (architecture, test_time) ->
-        publish ctx Ilp architecture test_time)
-      ~should_stop:(should_stop ctx) ctx.problem
+      ~shared:(fun () -> incumbent_cost ctx)
+      ~on_incumbent:(publish ctx "ilp") ~should_stop:(should_stop ctx)
+      problem
   in
-  Mutex.lock ctx.stats_mutex;
-  ctx.ilp_stats <- Some r.Ilp.stats;
-  Mutex.unlock ctx.stats_mutex;
   if r.Ilp.optimal then begin
-    (match r.Ilp.solution with
-    | Some (architecture, test_time) ->
-        publish ctx Ilp architecture test_time
-    | None -> ());
-    certify ctx Ilp "ilp"
-  end
+    Option.iter (publish ctx "ilp") r.Ilp.solution;
+    certify ctx "ilp" "ilp"
+  end;
+  r.Ilp.stats
 
-let run_engine ctx ~anneal_iterations e =
-  let sp = Obs.start () in
-  (match e with
-  | Pack -> run_pack ctx
-  | Greedy -> run_greedy ctx
-  | Anneal -> run_anneal ctx ~iterations:anneal_iterations
-  | Dp -> run_dp ctx
-  | Ilp -> run_ilp ctx);
-  Obs.finish ~args:[ ("engine", engine_name e) ] "race.engine" sp
-
-(* Re-derive a canonical architecture for the certified optimum: one
-   deterministic DP pass bounded just above [t_star]. This is what
-   makes the race's answer a pure function of the instance — identical
-   across job counts and across which engine won the wall clock. The
-   pass is cheap: the bound prunes all but near-optimal assignments. *)
+(* The partition family's canonical re-derivation: one deterministic DP
+   pass bounded just above [t_star]. The pass is cheap: the bound prunes
+   all but near-optimal assignments. The cell only holds feasible
+   architectures, so it always rediscovers one at [t_star]. *)
 let canonical_architecture problem partitions t_star =
   Obs.span "race.finalize" @@ fun () ->
   let best = ref None in
@@ -283,115 +321,52 @@ let canonical_architecture problem partitions t_star =
     partitions;
   !best
 
-let solve ?pool ?deadline_s ?(engines = default_engines)
-    ?(anneal_iterations = 4000) ?(on_event = fun _ -> ()) problem =
-  let sp = Obs.start () in
-  let ctx =
-    { problem;
-      partitions =
-        Array.of_list
-          (List.map Array.of_list
-             (Exact.width_partitions ~total:(Problem.total_width problem)
-                ~parts:(Problem.num_buses problem)));
-      dp_next = 0;
-      start = Clock.now_s ();
-      deadline_s;
-      cell = Atomic.make None;
-      lb = Atomic.make min_int;
-      certificate = Atomic.make None;
-      stop = Atomic.make false;
-      token = Pool.Cancel.create ();
-      published = Atomic.make 0;
-      on_event;
-      stats_mutex = Mutex.create ();
-      dp_nodes = 0;
-      ilp_stats = None }
+let solve ?pool ?deadline_s ?on_event problem =
+  let ctx = create ?deadline_s ?on_event snd in
+  let partitions =
+    Array.of_list
+      (List.map Array.of_list
+         (Exact.width_partitions ~total:(Problem.total_width problem)
+            ~parts:(Problem.num_buses problem)))
   in
-  let run e = run_engine ctx ~anneal_iterations e in
-  (match pool with
-  | Some pool when Pool.num_domains pool > 1 ->
-      ignore
-        (Pool.map_cancellable pool ~token:ctx.token ~f:run
-           (Array.of_list engines))
-  | Some _ | None ->
-      (* Certify-first: the Pack bound, then the budgeted DP probe,
-         which closes most designer-loop races outright. Otherwise the
-         rest run in list order, each inheriting every bound published
-         before it, with DP resuming where the probe stopped; a
-         certificate (or the deadline) skips whatever is left. *)
-      let step e = if not (should_stop ctx ()) then run e in
-      let bound, rest = List.partition (( = ) Pack) engines in
-      List.iter step bound;
-      if List.mem Dp rest && not (should_stop ctx ()) then run_dp_probe ctx;
-      List.iter step rest);
-  let ilp_stats = ctx.ilp_stats in
-  let certificate = Atomic.get ctx.certificate in
-  let incumbent = Atomic.get ctx.cell in
-  let solution, optimal, winner, cert =
-    match certificate with
-    | Some (engine, cert) -> (
-        match incumbent with
-        | None ->
-            (* A complete engine finished with an empty cell: proven
-               infeasible. *)
-            (None, true, Some (engine_name engine), Some cert)
-        | Some inc -> (
-            match
-              canonical_architecture problem ctx.partitions inc.best_time
-            with
-            | Some (arch, t) ->
-                (Some (arch, t), true, Some (engine_name engine), Some cert)
-            | None ->
-                (* The cell only holds feasible architectures, so the
-                   bounded re-derivation cannot come up empty. *)
-                assert false))
-    | None -> (
-        (* Deadline expired before any certificate: hand back the best
-           incumbent as-is, honestly uncertified. *)
-        match incumbent with
-        | Some inc ->
-            ( Some (inc.architecture, inc.best_time),
-              false,
-              Some (engine_name inc.source),
-              None )
-        | None -> (None, false, None, None))
+  let dp_next = ref 0 and ilp_stats = ref None in
+  (* Certify-first when sequential: the bound, then the budgeted DP
+     probe, which closes most designer-loop races outright; otherwise
+     DP resumes where the probe stopped, so no partition is solved
+     twice. *)
+  let v =
+    race ?pool ctx ~span:"race.solve"
+      ~canonical:(canonical_architecture problem partitions)
+      [ engine "pack" (fun () -> run_pack ctx problem);
+        engine ~solo:true "dp" (fun () ->
+            dp_next := run_dp_probe ctx problem partitions);
+        engine "greedy" (fun () -> run_greedy ctx problem);
+        engine "anneal" (fun () -> run_anneal ctx problem);
+        engine "dp" (fun () ->
+            ignore (dp_partitions ctx problem partitions !dp_next : int));
+        engine "ilp" (fun () -> ilp_stats := Some (run_ilp ctx problem)) ]
   in
-  let cancelled_nodes =
-    match ilp_stats with
-    | Some s -> s.Ilp.cancelled_nodes
-    | None -> 0
-  in
+  let ilp f = match !ilp_stats with Some s -> f s | None -> 0 in
+  let cancelled_nodes = ilp (fun s -> s.Ilp.cancelled_nodes) in
   if cancelled_nodes > 0 then Obs.incr ~n:cancelled_nodes "race.cancelled_nodes";
-  let pick f = match ilp_stats with Some s -> f s | None -> 0 in
-  let result =
-    { solution;
-      optimal;
-      winner;
-      certificate = cert;
-      incumbents = Atomic.get ctx.published;
-      nodes = ctx.dp_nodes + pick (fun s -> s.Ilp.bb_nodes);
-      lp_pivots = pick (fun s -> s.Ilp.lp_pivots);
-      warm_starts = pick (fun s -> s.Ilp.warm_starts);
-      cold_solves = pick (fun s -> s.Ilp.cold_solves);
-      refactorizations = pick (fun s -> s.Ilp.refactorizations);
-      cuts_added = pick (fun s -> s.Ilp.cuts_added);
-      presolve_fixed = pick (fun s -> s.Ilp.presolve_fixed);
-      cancelled_nodes;
-      elapsed_s = Clock.elapsed_s ~since:ctx.start }
-  in
-  Obs.finish
-    ~args:
-      [ ("winner", match winner with Some w -> w | None -> "none");
-        ("certificate", match cert with Some c -> c | None -> "none");
-        ("incumbents", string_of_int result.incumbents) ]
-    "race.solve" sp;
-  result
+  { solution = v.best;
+    optimal = v.optimal;
+    winner = v.winner;
+    certificate = v.certificate;
+    incumbents = v.incumbents;
+    nodes = Atomic.get ctx.nodes + ilp (fun s -> s.Ilp.bb_nodes);
+    lp_pivots = ilp (fun s -> s.Ilp.lp_pivots);
+    warm_starts = ilp (fun s -> s.Ilp.warm_starts);
+    cold_solves = ilp (fun s -> s.Ilp.cold_solves);
+    refactorizations = ilp (fun s -> s.Ilp.refactorizations);
+    cuts_added = ilp (fun s -> s.Ilp.cuts_added);
+    presolve_fixed = ilp (fun s -> s.Ilp.presolve_fixed);
+    cancelled_nodes;
+    elapsed_s = v.elapsed_s }
 
 (* ------------------------------------------------------------------ *)
-(* The rectangle-packing family race                                   *)
+(* The rectangle-packing family                                        *)
 (* ------------------------------------------------------------------ *)
-
-module Pack_solver = Soctam_pack.Pack
 
 type pack_result = {
   packing : Rect_sched.t option;
@@ -404,171 +379,60 @@ type pack_result = {
   elapsed_s : float;
 }
 
-(* Same protocol as the partition race, specialised to packings: the
-   cell holds the best feasible packing, the greedy portfolio seeds it
-   (streaming each improvement), and the exact packer prunes against it
-   and certifies on exhaustion. Kept separate from [solve]'s cell
-   because the two makespans live in different models — see
-   {!run_pack}. *)
-type pack_ctx = {
-  p_problem : Problem.t;
-  p_max_mw : float option;
-  p_start : float;
-  p_deadline_s : float option;
-  p_cell : (string * Rect_sched.t) option Atomic.t;
-  p_lb : int Atomic.t;
-  p_certificate : (string * string) option Atomic.t;
-  p_stop : bool Atomic.t;
-  p_token : Pool.Cancel.token;
-  p_published : int Atomic.t;
-  p_on_event : event -> unit;
-  p_mutex : Mutex.t;
-  mutable p_nodes : int;
-}
+(* Exact-packer node cap, for the race and its re-derivation alike; on
+   a blow the race returns its best incumbent, uncertified. *)
+let pack_node_budget = 2_000_000
 
-let pack_should_stop ctx () =
-  Atomic.get ctx.p_stop
-  ||
-  match ctx.p_deadline_s with
-  | Some d -> Clock.now_s () > d
-  | None -> false
-
-let pack_certify ctx name cert =
-  if Atomic.compare_and_set ctx.p_certificate None (Some (name, cert))
-  then begin
-    Obs.incr (Printf.sprintf "race.winner.%s" name);
-    Atomic.set ctx.p_stop true;
-    Pool.Cancel.cancel ctx.p_token
-  end
-
-let pack_cell_time ctx =
-  match Atomic.get ctx.p_cell with
-  | Some (_, (p : Rect_sched.t)) -> Some p.makespan
-  | None -> None
-
-let rec pack_publish ctx name (packing : Rect_sched.t) =
-  let cur = Atomic.get ctx.p_cell in
-  match cur with
-  | Some (_, (inc : Rect_sched.t)) when inc.makespan <= packing.makespan -> ()
-  | _ ->
-      if Atomic.compare_and_set ctx.p_cell cur (Some (name, packing)) then begin
-        Atomic.incr ctx.p_published;
-        Obs.incr "race.incumbent";
-        Obs.incr (Printf.sprintf "race.incumbent.%s" name);
-        ctx.p_on_event
-          { test_time = packing.makespan;
-            engine = name;
-            elapsed_ms = 1000.0 *. Clock.elapsed_s ~since:ctx.p_start };
-        if packing.makespan <= Atomic.get ctx.p_lb then
-          pack_certify ctx name "bound"
-      end
-      else pack_publish ctx name packing
-
-let run_pack_greedy ctx =
+let run_pack_greedy ctx ?p_max_mw problem =
   (* Raise the shared bound first so an early bound-match can end the
      race before the exact engine even starts. *)
-  let bound = Pack_solver.lower_bound ?p_max_mw:ctx.p_max_mw ctx.p_problem in
-  let cur = Atomic.get ctx.p_lb in
-  if bound > cur then ignore (Atomic.compare_and_set ctx.p_lb cur bound);
+  raise_lb ctx "pack-greedy" (Pack.lower_bound ?p_max_mw problem);
   ignore
-    (Pack_solver.greedy ?p_max_mw:ctx.p_max_mw
-       ~should_stop:(pack_should_stop ctx)
-       ~report:(fun packing -> pack_publish ctx "pack-greedy" packing)
-       ctx.p_problem)
+    (Pack.greedy ?p_max_mw ~should_stop:(should_stop ctx)
+       ~report:(publish ctx "pack-greedy") problem
+      : Rect_sched.t)
 
-let run_pack_exact ctx ~node_budget =
+let run_pack_exact ctx ?p_max_mw problem =
   let r =
-    Pack_solver.exact ?p_max_mw:ctx.p_max_mw ~node_budget
-      ~upper_bound:(fun () -> pack_cell_time ctx)
-      ~on_incumbent:(fun packing -> pack_publish ctx "pack-exact" packing)
-      ~should_stop:(pack_should_stop ctx) ctx.p_problem
+    Pack.exact ?p_max_mw ~node_budget:pack_node_budget
+      ~upper_bound:(fun () -> incumbent_cost ctx)
+      ~on_incumbent:(publish ctx "pack-exact")
+      ~should_stop:(should_stop ctx) problem
   in
-  Mutex.lock ctx.p_mutex;
-  ctx.p_nodes <- ctx.p_nodes + r.Pack_solver.nodes;
-  Mutex.unlock ctx.p_mutex;
-  if r.Pack_solver.optimal then pack_certify ctx "pack-exact" "exact"
+  add_nodes ctx r.Pack.nodes;
+  if r.Pack.optimal then certify ctx "pack-exact" "exact"
 
-(* Deterministic re-derivation, mirroring [canonical_architecture]: a
-   sequential exact search bounded just above the certified makespan.
-   The certified value is achievable, so the search must rediscover a
-   packing at it (the node budget is a pathology guard; on a blow we
-   fall back to the live incumbent, still correct, merely not
-   canonical). *)
-let canonical_packing ?p_max_mw ~node_budget problem t_star =
+(* The packing family's canonical re-derivation: a sequential exact
+   search bounded just above the certified makespan, which must
+   rediscover a packing at it. *)
+let canonical_packing ?p_max_mw problem t_star =
   Obs.span "race.finalize" @@ fun () ->
   let r =
-    Pack_solver.exact ?p_max_mw ~node_budget
+    Pack.exact ?p_max_mw ~node_budget:pack_node_budget
       ~upper_bound:(fun () -> Some (t_star + 1))
       problem
   in
-  match r.Pack_solver.packing with
+  match r.Pack.packing with
   | Some p when p.Rect_sched.makespan <= t_star -> Some p
   | _ -> None
 
-let solve_pack ?pool ?deadline_s ?p_max_mw ?(node_budget = 2_000_000)
-    ?(on_event = fun _ -> ()) problem =
-  let sp = Obs.start () in
+(* Kept apart from [solve]'s cell because the two makespans live in
+   different models — see {!run_pack}. *)
+let solve_pack ?pool ?deadline_s ?p_max_mw ?on_event problem =
   let ctx =
-    { p_problem = problem;
-      p_max_mw;
-      p_start = Clock.now_s ();
-      p_deadline_s = deadline_s;
-      p_cell = Atomic.make None;
-      p_lb = Atomic.make min_int;
-      p_certificate = Atomic.make None;
-      p_stop = Atomic.make false;
-      p_token = Pool.Cancel.create ();
-      p_published = Atomic.make 0;
-      p_on_event = on_event;
-      p_mutex = Mutex.create ();
-      p_nodes = 0 }
+    create ?deadline_s ?on_event (fun (p : Rect_sched.t) -> p.makespan)
   in
-  let engines =
-    [| (fun () -> run_pack_greedy ctx);
-       (fun () -> run_pack_exact ctx ~node_budget) |]
+  let v =
+    race ?pool ctx ~span:"race.solve_pack"
+      ~canonical:(canonical_packing ?p_max_mw problem)
+      [ engine "pack-greedy" (fun () -> run_pack_greedy ctx ?p_max_mw problem);
+        engine "pack-exact" (fun () -> run_pack_exact ctx ?p_max_mw problem) ]
   in
-  (match pool with
-  | Some pool when Pool.num_domains pool > 1 ->
-      ignore
-        (Pool.map_cancellable pool ~token:ctx.p_token
-           ~f:(fun run -> run ())
-           engines)
-  | Some _ | None ->
-      Array.iter
-        (fun run -> if not (pack_should_stop ctx ()) then run ())
-        engines);
-  let certificate = Atomic.get ctx.p_certificate in
-  let incumbent = Atomic.get ctx.p_cell in
-  let packing, optimal, winner, cert =
-    match certificate with
-    | Some (name, cert) -> (
-        match incumbent with
-        | None -> (None, true, Some name, Some cert)
-        | Some (_, (inc : Rect_sched.t)) -> (
-            match
-              canonical_packing ?p_max_mw ~node_budget problem inc.makespan
-            with
-            | Some p -> (Some p, true, Some name, Some cert)
-            | None -> (Some inc, true, Some name, Some cert)))
-    | None -> (
-        match incumbent with
-        | Some (source, inc) -> (Some inc, false, Some source, None)
-        | None -> (None, false, None, None))
-  in
-  let result =
-    { packing;
-      optimal;
-      winner;
-      certificate = cert;
-      incumbents = Atomic.get ctx.p_published;
-      nodes = ctx.p_nodes;
-      lower_bound = Atomic.get ctx.p_lb;
-      elapsed_s = Clock.elapsed_s ~since:ctx.p_start }
-  in
-  Obs.finish
-    ~args:
-      [ ("winner", match winner with Some w -> w | None -> "none");
-        ("certificate", match cert with Some c -> c | None -> "none");
-        ("incumbents", string_of_int result.incumbents) ]
-    "race.solve_pack" sp;
-  result
+  { packing = v.best;
+    optimal = v.optimal;
+    winner = v.winner;
+    certificate = v.certificate;
+    incumbents = v.incumbents;
+    nodes = Atomic.get ctx.nodes;
+    lower_bound = Atomic.get ctx.lb;
+    elapsed_s = v.elapsed_s }

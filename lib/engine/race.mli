@@ -25,29 +25,11 @@
     - a certified race {e re-derives} the winning architecture with a
       deterministic bounded DP pass, so the reported solution is a pure
       function of the instance — identical across [--jobs 1/2/4] and
-      across which engine happened to win the wall-clock race. *)
+      across which engine happened to win the wall-clock race.
 
-type engine =
-  | Pack
-      (** Publishes the rectangle/area lower bound, no solution. The
-          bound is sound for the partition model (packing relaxes it),
-          but a packing incumbent would not be — it can undercut the
-          partition optimum and poison the exact engines' pruning. The
-          packing family therefore races against its own cell in
-          {!solve_pack}. *)
-  | Greedy  (** {!Soctam_core.Heuristics}, restarts + local search. *)
-  | Anneal  (** {!Soctam_core.Annealing}, shortened schedule. *)
-  | Dp  (** Width-partition enumeration over {!Soctam_core.Dp_assign}. *)
-  | Ilp  (** {!Soctam_core.Ilp_formulation} branch-and-bound. *)
-
-val engine_name : engine -> string
-
-(** All five, in publication order: bound, then heuristics, then the
-    complete engines. Sequential (poolless) races run them in this
-    order, so earlier engines seed bounds for later ones — except that
-    DP first runs a probe of at most {!probe_node_budget} nodes right
-    after the bound (see {!solve}). *)
-val default_engines : engine list
+    One copy of this protocol serves two families, each with its own
+    cell: the partition portfolio ({!solve}) and the rectangle-packing
+    family ({!solve_pack}). *)
 
 (** Node budget of the sequential race's certify-first DP probe
     (16,384). Sized from measured designer-loop traffic: enough for DP
@@ -85,35 +67,38 @@ type result = {
   elapsed_s : float;
 }
 
-(** [solve problem] races the portfolio and returns the certified
-    optimum (or the best incumbent on deadline expiry).
+(** [solve problem] races the partition portfolio and returns the
+    certified optimum (or the best incumbent on deadline expiry). The
+    engines, by the name they publish, certify and win under:
+    - ["pack"] raises the rectangle/area lower bound, sound because
+      packing relaxes the partition model, and publishes nothing: a
+      packing could undercut the partition optimum (see {!solve_pack});
+    - ["greedy"]: {!Soctam_core.Heuristics}, restarts + local search;
+    - ["anneal"]: {!Soctam_core.Annealing}, a 4,000-iteration schedule
+      (a refinement engine here, not the last word);
+    - ["dp"]: width-partition enumeration over {!Soctam_core.Dp_assign};
+    - ["ilp"]: {!Soctam_core.Ilp_formulation} branch-and-bound.
 
-    @param pool run engines concurrently on this pool (the caller joins
-      the crew). Without a pool — or on a one-domain pool — the race is
-      sequential and certify-first: the [Pack] bound, then a DP probe
-      capped at {!probe_node_budget} nodes, which ends the race when it
-      certifies; otherwise the other engines run in list order with
-      cancellation checks between them, and DP resumes at the first
-      width partition the probe did not finish. Results are identical
-      either way by construction.
+    @param pool run the engines concurrently on this pool (the caller
+      joins the crew). Without a pool — or on a one-domain pool — the
+      race is sequential and certify-first: the ["pack"] bound, then a
+      DP probe capped at {!probe_node_budget} nodes, which ends the race
+      when it certifies; otherwise greedy, anneal, DP and ILP run in
+      that order with cancellation checks between them, and DP resumes
+      at the first width partition the probe did not finish. Results
+      are identical either way by construction.
       Race tasks must not share a pool with an enclosing
       {!Pool.map} batch (pools do not nest); {!Sweep} therefore races
       sequentially inside each cell.
     @param deadline_s absolute {!Soctam_obs.Clock.now_s} instant; on
       expiry every engine stops cooperatively and the best incumbent is
       returned with [optimal = false].
-    @param engines portfolio subset (default {!default_engines}).
-    @param anneal_iterations annealing schedule length (default 4000 —
-      shorter than the standalone default: in a race the annealer is a
-      refinement engine, not the last word).
     @param on_event called synchronously with each improving incumbent,
       in publication order, from the publishing domain — the streaming
       hook. Must be thread-safe when a pool is supplied. *)
 val solve :
   ?pool:Pool.t ->
   ?deadline_s:float ->
-  ?engines:engine list ->
-  ?anneal_iterations:int ->
   ?on_event:(event -> unit) ->
   Soctam_core.Problem.t ->
   result
@@ -135,26 +120,21 @@ type pack_result = {
   elapsed_s : float;
 }
 
-(** [solve_pack problem] races the rectangle-packing family — the
-    greedy portfolio streaming improving packings into a shared cell,
-    and the exact branch-and-bound pruning against that cell and
-    certifying on exhaustion — with the same protocol as {!solve}:
-    strict-improvement publication, bound-match certificates,
-    first-certificate-wins cancellation, and a deterministic bounded
-    re-derivation of the certified packing so the answer is a pure
-    function of the instance across job counts.
+(** [solve_pack problem] races the rectangle-packing family on the
+    protocol of {!solve}, against its own cell: the greedy portfolio
+    streams improving packings, and the exact branch-and-bound prunes
+    against them and certifies on exhaustion. The exact packer is
+    capped at 2,000,000 nodes; past the cap the race returns its best
+    incumbent, uncertified. [pool] and [deadline_s] are as in {!solve}.
 
     @param p_max_mw instantaneous power envelope; enforced as
       [Soctam_pack.Pack.effective_budget].
-    @param node_budget exact-packer node cap (default 2e6); on a blow
-      the race still returns the best incumbent, uncertified.
     @param on_event improving packings, streamed as {!event}s with
       engine ["pack-greedy"] / ["pack-exact"]. *)
 val solve_pack :
   ?pool:Pool.t ->
   ?deadline_s:float ->
   ?p_max_mw:float ->
-  ?node_budget:int ->
   ?on_event:(event -> unit) ->
   Soctam_core.Problem.t ->
   pack_result

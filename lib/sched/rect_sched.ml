@@ -1,9 +1,5 @@
 module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
-module Cost = Soctam_core.Cost
-module Exact = Soctam_core.Exact
-module Test_time = Soctam_soc.Test_time
-module Soc = Soctam_soc.Soc
 
 type placement = {
   core : int;
@@ -86,67 +82,6 @@ let co_partners problem =
       partners.(b) <- a :: partners.(b))
     (Problem.constraints problem).Problem.co_pairs;
   partners
-
-let greedy_with_policy problem ~pick_width =
-  let n = Problem.num_cores problem in
-  let w = Problem.total_width problem in
-  let free = Array.make w 0 in
-  let partners = co_partners problem in
-  let done_intervals = Array.make n None in
-  (* Longest-first placement order under this policy. *)
-  let order = Array.init n Fun.id in
-  let duration i = Problem.time problem ~core:i ~width:(pick_width i) in
-  Array.sort (fun a b -> compare (duration b) (duration a)) order;
-  let placements = ref [] in
-  let makespan = ref 0 in
-  Array.iter
-    (fun core ->
-      let width = pick_width core in
-      let floor_time =
-        (* Serialize after already-placed co-partners. *)
-        List.fold_left
-          (fun acc p ->
-            match done_intervals.(p) with
-            | Some (_, finish) -> max acc finish
-            | None -> acc)
-          0 partners.(core)
-      in
-      let wire_lo, start = place_skyline free ~width ~floor_time in
-      let finish = start + Problem.time problem ~core ~width in
-      for k = wire_lo to wire_lo + width - 1 do
-        free.(k) <- finish
-      done;
-      done_intervals.(core) <- Some (start, finish);
-      placements := { core; width; wire_lo; start; finish } :: !placements;
-      makespan := max !makespan finish)
-    order;
-  { placements = List.rev !placements; makespan = !makespan }
-
-let greedy problem =
-  let w = Problem.total_width problem in
-  let soc = Problem.soc problem in
-  let native i = Test_time.native_width (Soc.core soc i) in
-  let clamp width = max 1 (min w width) in
-  let policies =
-    [ (fun _ -> clamp w);
-      (fun _ -> clamp ((w + 1) / 2));
-      (fun _ -> clamp ((w + 2) / 3));
-      (fun _ -> clamp ((w + 3) / 4));
-      (fun i -> clamp (native i));
-      (fun i -> clamp ((native i + 1) / 2)) ]
-  in
-  let candidates = List.map (fun p -> greedy_with_policy problem ~pick_width:p) policies in
-  List.fold_left
-    (fun best c -> if c.makespan < best.makespan then c else best)
-    (List.hd candidates) (List.tl candidates)
-
-let solve problem =
-  let flexible = greedy problem in
-  match (Exact.solve problem).Exact.solution with
-  | Some (arch, _) ->
-      let fixed = of_architecture problem arch in
-      Some (if fixed.makespan <= flexible.makespan then fixed else flexible)
-  | None -> Some flexible
 
 let validate problem sched =
   let n = Problem.num_cores problem in

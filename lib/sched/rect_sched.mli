@@ -1,12 +1,18 @@
-(** Flexible-width rectangle scheduling (extension).
+(** Flexible-width rectangle scheduling (extension): the model.
 
     The DAC 2000 architecture fixes bus widths for the whole session. Its
     successor formulations let every core pick its own TAM width, packing
     core tests as rectangles (width × test time) into the W-wire strip.
-    This module implements that model: a skyline-based greedy packer over
-    several width policies, conversion of fixed-bus architectures into
-    rectangle schedules (so the flexible model provably never loses to
-    the paper's model), a validator, and an area lower bound. *)
+    This module holds that model: the packing type, conversion of
+    fixed-bus architectures into rectangle schedules (so the flexible
+    model provably never loses to the paper's model), the skyline
+    placement step, a validator, and an area lower bound. The packers
+    themselves live in {!Soctam_pack.Pack}.
+
+    Constraint mapping: power co-assignment pairs are serialized (their
+    rectangles never overlap in time). Place-and-route exclusion pairs
+    are vacuous in this model — every test gets dedicated wires, so no
+    two cores ever share a trunk — and are therefore ignored. *)
 
 type placement = {
   core : int;
@@ -39,21 +45,6 @@ val place_skyline : int array -> width:int -> floor_time:int -> int * int
     pairs: entry [i] lists the cores that must never overlap core [i]
     in time. *)
 val co_partners : Soctam_core.Problem.t -> int list array
-
-(** [greedy problem] packs all cores with a skyline best-fit heuristic
-    for a spread of width policies (fractions of the budget, plus each
-    core's native width) and returns the best schedule found.
-
-    Constraint mapping: power co-assignment pairs are serialized (their
-    rectangles never overlap in time). Place-and-route exclusion pairs
-    are vacuous in this model — every test gets dedicated wires, so no
-    two cores ever share a trunk — and are therefore ignored. *)
-val greedy : Soctam_core.Problem.t -> t
-
-(** [solve problem] is the better of {!greedy} and the converted exact
-    fixed-bus optimum — hence never worse than the paper's model on
-    instances the paper's model can solve. *)
-val solve : Soctam_core.Problem.t -> t option
 
 (** [validate problem sched] checks: every core placed exactly once,
     rectangle wire intervals within the strip, durations matching the

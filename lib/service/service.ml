@@ -45,6 +45,7 @@ type t = {
   solve_ms : Hist.t;
   mutable store_bad_rows : int;
       (* store docs that failed [Sweep.row_of_json]: served as misses *)
+  mutable store_append_failed : int;  (* appends lost to an I/O error *)
 }
 
 let create ?(cache_capacity = 256) ?(queue_capacity = 64) ?log ?store ~pool
@@ -75,6 +76,7 @@ let create ?(cache_capacity = 256) ?(queue_capacity = 64) ?log ?store ~pool
     queue_wait_ms = Hist.create ();
     solve_ms = Hist.create ();
     store_bad_rows = 0;
+    store_append_failed = 0;
   }
 
 let shutdown_requested t =
@@ -305,11 +307,18 @@ let store_lookup t canon =
               Mutex.unlock t.mutex;
               None))
 
+(* A failed append must not fail the solve it records: the error is
+   counted, and the rows still reach the LRU and the reply. The cost is
+   a re-solve once the LRU evicts the key. *)
 let store_append t canon ~solver rows =
   match t.store with
   | None -> ()
-  | Some store ->
-      Store.add store canon.Canon.key (store_doc_of_rows ~solver rows)
+  | Some store -> (
+      try Store.add store canon.Canon.key (store_doc_of_rows ~solver rows)
+      with Unix.Unix_error _ | Sys_error _ ->
+        Mutex.lock t.mutex;
+        t.store_append_failed <- t.store_append_failed + 1;
+        Mutex.unlock t.mutex)
 
 (* ---- request execution (runs on a pool worker domain) ---- *)
 
@@ -448,7 +457,8 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
                        comes FIRST: once the LRU holds the entry it can
                        be evicted at any moment, so the record must
                        already be durable — an LRU eviction then demotes
-                       the key to a store hit, never to a re-solve. *)
+                       the key to a store hit, and to a re-solve only if
+                       the append failed. *)
                     (if List.for_all (fun r -> r.Sweep.optimal) rows then begin
                        let canonical = remap_rows canon `Store rows in
                        store_append t canon
@@ -562,7 +572,8 @@ let stats_json t =
                 ("segments", Json.int s.Store.segments);
                 ("live", Json.int s.Store.live);
                 ("bytes", Json.int s.Store.bytes);
-                ("bad_rows", Json.int t.store_bad_rows) ] ) ]
+                ("bad_rows", Json.int t.store_bad_rows);
+                ("append_failed", Json.int t.store_append_failed) ] ) ]
   in
   Json.Obj
     ([ ("uptime_s", Json.Num (Clock.now_s () -. t.started_s));
@@ -638,7 +649,9 @@ let metrics_text t =
                   ([ ("event", "corrupt_frame") ], f s.Store.corrupt_frames);
                   ([ ("event", "rescan") ], f s.Store.rescans);
                   ([ ("event", "compaction") ], f s.Store.compactions);
-                  ([ ("event", "bad_rows") ], f t.store_bad_rows) ] };
+                  ([ ("event", "bad_rows") ], f t.store_bad_rows);
+                  ([ ("event", "append_failed") ], f t.store_append_failed)
+                ] };
           Export.Gauge
             { name = "tamoptd_store_segments";
               help = "Segment files in the persistent store.";

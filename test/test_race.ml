@@ -4,6 +4,7 @@ module Exact = Soctam_core.Exact
 module Benchmarks = Soctam_soc.Benchmarks
 module Pool = Soctam_engine.Pool
 module Race = Soctam_engine.Race
+module Rect_sched = Soctam_sched.Rect_sched
 module Clock = Soctam_obs.Clock
 module Cgen = Soctam_check.Gen
 
@@ -63,51 +64,67 @@ let test_race_deterministic_across_jobs () =
           Alcotest.failf "jobs=%d feasibility differs from jobs=1" jobs)
     [ 2; 4 ]
 
+(* A small rectangle-packing instance the exact packer certifies. *)
+let pack_problem () =
+  Problem.make
+    (Benchmarks.random ~seed:5 ~num_cores:4 ())
+    ~num_buses:2 ~total_width:6
+
+let streamed race =
+  let events = ref [] in
+  let r = race (fun ev -> events := ev :: !events) in
+  (r, List.rev !events)
+
 (* Streamed incumbents are strictly improving, and the final solution
    is exactly the last streamed value — the certificate never reports
-   something the stream did not announce. *)
+   something the stream did not announce. Both families publish
+   through the same protocol, so both must stream this way. *)
 let test_race_stream_monotone () =
-  let problem = constrained_problem () in
-  let events = ref [] in
-  let r = Race.solve ~on_event:(fun ev -> events := ev :: !events) problem in
-  let events = List.rev !events in
-  Alcotest.(check bool) "at least one incumbent streamed" true
-    (events <> []);
-  Alcotest.(check int) "incumbents counted" (List.length events)
-    r.Race.incumbents;
-  let rec strictly_decreasing = function
-    | a :: (b :: _ as rest) ->
-        a.Race.test_time > b.Race.test_time && strictly_decreasing rest
-    | _ -> true
+  let check name events ~incumbents ~final =
+    Alcotest.(check bool) (name ^ " at least one incumbent streamed") true
+      (events <> []);
+    Alcotest.(check int) (name ^ " incumbents counted") (List.length events)
+      incumbents;
+    let rec strictly_decreasing = function
+      | a :: (b :: _ as rest) ->
+          a.Race.test_time > b.Race.test_time && strictly_decreasing rest
+      | _ -> true
+    in
+    Alcotest.(check bool) (name ^ " strictly improving") true
+      (strictly_decreasing events);
+    match (final, List.rev events) with
+    | Some t, last :: _ ->
+        Alcotest.(check int) (name ^ " final = last streamed")
+          last.Race.test_time t
+    | _ -> Alcotest.failf "%s: expected a feasible certified solution" name
   in
-  Alcotest.(check bool) "strictly improving" true
-    (strictly_decreasing events);
-  match (r.Race.solution, List.rev events) with
-  | Some (_, t), last :: _ ->
-      Alcotest.(check int) "final = last streamed" last.Race.test_time t
-  | _ -> Alcotest.fail "expected a feasible certified solution"
-
-(* Without a complete engine no certificate can exist, but the best
-   heuristic incumbent is still returned — the anytime contract. *)
-let test_race_incomplete_portfolio () =
-  let problem = constrained_problem () in
-  let r =
-    Race.solve ~engines:[ Race.Pack; Race.Greedy; Race.Anneal ] problem
+  let r, events =
+    streamed (fun on_event -> Race.solve ~on_event (constrained_problem ()))
   in
-  Alcotest.(check bool) "feasible incumbent" true (r.Race.solution <> None);
-  Alcotest.(check bool) "winner attributed" true (r.Race.winner <> None);
-  if r.Race.optimal then
-    Alcotest.(check (option string))
-      "only the bound can certify without a complete engine"
-      (Some "bound") r.Race.certificate
+  check "partition" events ~incumbents:r.Race.incumbents
+    ~final:(Option.map snd r.Race.solution);
+  let p, events =
+    streamed (fun on_event -> Race.solve_pack ~on_event (pack_problem ()))
+  in
+  check "pack" events ~incumbents:p.Race.incumbents
+    ~final:
+      (Option.map (fun (q : Rect_sched.t) -> q.Rect_sched.makespan)
+         p.Race.packing)
 
+(* Both families: nothing runs past an expired deadline. *)
 let test_race_expired_deadline () =
-  let problem = constrained_problem () in
-  let r = Race.solve ~deadline_s:(Clock.now_s () -. 1.0) problem in
+  let deadline_s = Clock.now_s () -. 1.0 in
+  let r = Race.solve ~deadline_s (constrained_problem ()) in
   Alcotest.(check bool) "not optimal" false r.Race.optimal;
   Alcotest.(check (option string)) "no certificate" None r.Race.certificate;
   Alcotest.(check bool) "no solution (nothing ran)" true
-    (r.Race.solution = None)
+    (r.Race.solution = None);
+  let p = Race.solve_pack ~deadline_s (pack_problem ()) in
+  Alcotest.(check bool) "pack not optimal" false p.Race.optimal;
+  Alcotest.(check (option string)) "pack no certificate" None
+    p.Race.certificate;
+  Alcotest.(check bool) "no packing (nothing ran)" true
+    (p.Race.packing = None)
 
 (* ---- the certify-first probe ---- *)
 
@@ -198,17 +215,20 @@ let test_probe_keeps_deadline_races_anytime () =
       (Benchmarks.random ~seed:7 ~num_cores:36 ())
       ~num_buses:5 ~total_width:64
   in
-  let events = ref [] in
-  let r =
-    Race.solve
-      ~deadline_s:(Clock.now_s () +. 0.1)
-      ~on_event:(fun ev -> events := ev :: !events)
-      problem
+  let r, events =
+    streamed (fun on_event ->
+        Race.solve ~deadline_s:(Clock.now_s () +. 0.1) ~on_event problem)
   in
   Alcotest.(check bool) "not optimal" false r.Race.optimal;
   Alcotest.(check bool) "incumbent returned" true (r.Race.solution <> None);
   Alcotest.(check bool) "heuristic incumbent streamed" true
-    (List.exists heuristic !events)
+    (List.exists heuristic events);
+  (* Uncertified, the winner is the engine holding the final incumbent. *)
+  match List.rev events with
+  | last :: _ ->
+      Alcotest.(check (option string)) "winner attributed"
+        (Some last.Race.engine) r.Race.winner
+  | [] -> Alcotest.fail "expected a streamed incumbent"
 
 let prop_race_matches_exact =
   QCheck.Test.make ~name:"race certifies the exact optimum" ~count:25
@@ -226,8 +246,6 @@ let suite =
       test_race_deterministic_across_jobs;
     Alcotest.test_case "streamed incumbents strictly improve" `Quick
       test_race_stream_monotone;
-    Alcotest.test_case "heuristics-only race stays anytime" `Quick
-      test_race_incomplete_portfolio;
     Alcotest.test_case "expired deadline yields a partial verdict" `Quick
       test_race_expired_deadline;
     Alcotest.test_case "probe closes easy instances with dp alone" `Quick

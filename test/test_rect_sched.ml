@@ -3,9 +3,25 @@ module Architecture = Soctam_core.Architecture
 module Cost = Soctam_core.Cost
 module Exact = Soctam_core.Exact
 module Rect_sched = Soctam_sched.Rect_sched
+module Pack = Soctam_pack.Pack
 module Benchmarks = Soctam_soc.Benchmarks
 
 let s1 = Benchmarks.s1 ()
+
+(* Keeps the exact packing pass of [Pack.solve] test-sized: past it the
+   seeded incumbent stands. *)
+let node_budget = 20_000
+
+(* The packer seeded with the fixed-bus optimum, as bench table B1 runs
+   it. *)
+let solve_seeded problem =
+  let optimum = (Exact.solve problem).Exact.solution in
+  let r =
+    Pack.solve ~node_budget
+      ~seed_archs:(Option.to_list (Option.map fst optimum))
+      problem
+  in
+  (Option.map snd optimum, r.Pack.packing)
 
 let test_of_architecture () =
   let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
@@ -23,7 +39,7 @@ let test_of_architecture () =
 
 let test_greedy_valid () =
   let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
-  let sched = Rect_sched.greedy problem in
+  let sched = Pack.greedy problem in
   match Rect_sched.validate problem sched with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "greedy invalid: %s" msg
@@ -32,14 +48,10 @@ let test_solve_never_worse_than_fixed () =
   List.iter
     (fun w ->
       let problem = Problem.make s1 ~num_buses:2 ~total_width:w in
-      let fixed =
-        match (Exact.solve problem).Exact.solution with
-        | Some (_, t) -> t
-        | None -> Alcotest.fail "feasible"
-      in
-      match Rect_sched.solve problem with
-      | None -> Alcotest.fail "solve must succeed"
-      | Some sched ->
+      match solve_seeded problem with
+      | None, _ -> Alcotest.fail "feasible"
+      | _, None -> Alcotest.fail "solve must succeed"
+      | Some fixed, Some sched ->
           Alcotest.(check bool)
             (Printf.sprintf "flexible <= fixed at W=%d" w)
             true
@@ -48,9 +60,9 @@ let test_solve_never_worse_than_fixed () =
 
 let test_lower_bound_sound () =
   let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
-  match Rect_sched.solve problem with
-  | None -> Alcotest.fail "solve must succeed"
-  | Some sched ->
+  match solve_seeded problem with
+  | _, None -> Alcotest.fail "solve must succeed"
+  | _, Some sched ->
       Alcotest.(check bool) "lb <= achieved" true
         (Rect_sched.lower_bound problem <= sched.Rect_sched.makespan)
 
@@ -59,7 +71,7 @@ let test_co_pairs_serialized () =
     { Problem.exclusion_pairs = []; co_pairs = [ (2, 4) ] }
   in
   let problem = Problem.make s1 ~constraints ~num_buses:2 ~total_width:16 in
-  let sched = Rect_sched.greedy problem in
+  let sched = Pack.greedy problem in
   (match Rect_sched.validate problem sched with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "co-pair violated: %s" msg);
@@ -75,7 +87,7 @@ let test_co_pairs_serialized () =
 
 let test_validate_catches_overlap () =
   let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
-  let sched = Rect_sched.greedy problem in
+  let sched = Pack.greedy problem in
   let corrupted =
     { sched with
       Rect_sched.placements =
@@ -92,7 +104,7 @@ let prop_greedy_always_valid =
   QCheck.Test.make ~name:"greedy rectangle schedules always validate"
     ~count:60 Gen.spec_arbitrary (fun spec ->
       let problem = Gen.problem_of_spec spec in
-      let sched = Rect_sched.greedy problem in
+      let sched = Pack.greedy problem in
       match Rect_sched.validate problem sched with
       | Ok () -> true
       | Error _ -> false)
@@ -102,8 +114,8 @@ let prop_flexible_never_worse =
     ~name:"flexible scheduling never loses to the fixed-bus optimum"
     ~count:40 Gen.spec_arbitrary (fun spec ->
       let problem = Gen.problem_of_spec ~constrained:false spec in
-      match ((Exact.solve problem).Exact.solution, Rect_sched.solve problem) with
-      | Some (_, fixed), Some sched -> sched.Rect_sched.makespan <= fixed
+      match solve_seeded problem with
+      | Some fixed, Some sched -> sched.Rect_sched.makespan <= fixed
       | None, _ -> true
       | Some _, None -> false)
 

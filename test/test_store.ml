@@ -573,6 +573,28 @@ let test_service_eviction_falls_back_to_store () =
     "evicted byte-identical" (result_string first)
     (result_string evicted)
 
+(* A solve whose store append fails still answers from the solve, and
+   still fills the LRU; the failure shows only as a counter. *)
+let test_service_survives_failed_append () =
+  with_tmp_dir @@ fun dir ->
+  with_store_service dir @@ fun svc ->
+  rm_rf dir;
+  let first = reply_of_line svc solve_line in
+  Alcotest.(check bool) "first ok" true (reply_field_bool "ok" first);
+  Alcotest.(check string) "first source" "solve" (reply_source first);
+  let again = reply_of_line svc solve_line in
+  Alcotest.(check string) "second source" "lru" (reply_source again);
+  let failed =
+    match Json.member "store" (Service.stats_json svc) with
+    | Some store -> Json.member "append_failed" store
+    | None -> None
+  in
+  Alcotest.(check bool) "append_failed counted" true
+    (failed = Some (Json.Num 1.0));
+  Alcotest.(check bool) "append_failed exported" true
+    (List.mem {|tamoptd_store_events_total{event="append_failed"} 1|}
+       (String.split_on_char '\n' (Service.metrics_text svc)))
+
 (* ---- rows survive the store round trip ---- *)
 
 let test_row_json_round_trip () =
@@ -698,6 +720,8 @@ let suite =
       test_service_store_tier;
     Alcotest.test_case "evicted entries fall back to the store" `Quick
       test_service_eviction_falls_back_to_store;
+    Alcotest.test_case "a failed append still serves the solve" `Quick
+      test_service_survives_failed_append;
     Alcotest.test_case "sweep rows round-trip through JSON" `Quick
       test_row_json_round_trip;
     Alcotest.test_case "torture clean batch" `Quick
