@@ -377,7 +377,11 @@ let solve_cmd =
       in
       (match solver with
       | Sweep.Ilp _ ->
-          if not row.Sweep.optimal then
+          if row.Sweep.seed_fallback then
+            print_endline
+              "note: branch and bound found nothing below its greedy seed; \
+               the seed is shown, not proven optimal"
+          else if not row.Sweep.optimal then
             print_endline "note: ILP budget expired; best-found shown";
           (match row.Sweep.seeded_bound with
           | Some b ->

@@ -123,7 +123,10 @@ let check ?(fault = No_fault) ?(presolve = true) ?(cuts = true)
         | _ -> problem
       in
       let ilp = Ilp.solve ~presolve ~cuts ilp_problem in
-      if not ilp.Ilp.optimal then
+      if ilp.Ilp.stats.Ilp.seed_fallback then
+        fail "ilp_matches_exact"
+          "ILP search found nothing at or below its seed; seed returned"
+      else if not ilp.Ilp.optimal then
         fail "ilp_matches_exact"
           "ILP lost its optimality claim (%d dropped nodes)"
           ilp.Ilp.stats.Ilp.dropped_nodes

@@ -21,6 +21,7 @@ type solve_stats = {
   dropped_nodes : int;
   cancelled_nodes : int;
   seeded_bound : int option;
+  seed_fallback : bool;
   cuts_added : int;
   presolve_fixed : int;
   elapsed_s : float;
@@ -403,6 +404,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
       dropped_nodes = stats.Branch_bound.dropped_nodes;
       cancelled_nodes = stats.Branch_bound.cancelled_nodes;
       seeded_bound = !seeded_bound;
+      seed_fallback = false;
       cuts_added = rp_cuts;
       presolve_fixed = rp_fixed;
       elapsed_s = Clock.elapsed_s ~since:start }
@@ -436,19 +438,20 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
       let expired =
         match time_limit_s with Some l -> l <= 0.0 | None -> false
       in
-      let incumbent =
+      let seed =
         if seed_incumbent && not expired then
-          match
-            Obs.span "ilp.incumbent" (fun () -> Heuristics.solve problem)
-          with
-          | Some { Heuristics.test_time; _ } ->
-              (* Branch-and-bound prunes nodes whose bound reaches the
-                 incumbent, so pass a value one above the heuristic time
-                 to keep an equal-valued optimum reachable. *)
-              seeded_bound := Some test_time;
-              Some (float_of_int (test_time + 1))
-          | None -> None
+          Obs.span "ilp.incumbent" (fun () -> Heuristics.solve problem)
         else None
+      in
+      (* Branch-and-bound prunes nodes whose bound reaches the
+         incumbent, so pass a value one above the heuristic time to keep
+         an equal-valued optimum reachable. *)
+      let incumbent =
+        Option.map
+          (fun { Heuristics.test_time; _ } ->
+            seeded_bound := Some test_time;
+            float_of_int (test_time + 1))
+          seed
       in
       let shared =
         Option.map
@@ -475,6 +478,23 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
             mk_stats ~rp_cuts:rp.root_cuts ~rp_fixed:rp.fixed
               ~sep_pivots:rp.sep_pivots stats }
       in
+      (* Branch and bound ended without a point. A seeded search was cut
+         off just above the seed's time, so it found nothing at or below
+         the seed: the verified seed is the answer, not claimed
+         optimal. *)
+      let no_point ~optimal stats =
+        match seed with
+        | Some { Heuristics.architecture; test_time }
+          when Result.is_ok
+                 (Verify.check problem architecture ~claimed_time:test_time)
+          ->
+            Obs.incr "ilp.seed_fallback";
+            let r =
+              finish ~optimal:false stats (Some (architecture, test_time))
+            in
+            { r with stats = { r.stats with seed_fallback = true } }
+        | _ -> finish ~optimal stats None
+      in
       (match outcome with
       | Branch_bound.Optimal { point; objective; stats } ->
           let arch = decode problem x delta (rp.to_orig point) in
@@ -485,7 +505,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
              translation is needed. *)
           assert (Float.abs (float_of_int test_time -. objective) < 0.5);
           finish stats (Some (arch, test_time))
-      | Branch_bound.Infeasible stats -> finish stats None
+      | Branch_bound.Infeasible stats -> no_point ~optimal:true stats
       | Branch_bound.Unbounded stats ->
           (* A bounded makespan objective cannot be unbounded. *)
           ignore stats;
@@ -496,7 +516,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
               let arch = decode problem x delta (rp.to_orig point) in
               let test_time = Cost.test_time problem arch in
               finish ~optimal:false stats (Some (arch, test_time))
-          | None -> finish ~optimal:false stats None))
+          | None -> no_point ~optimal:false stats))
 
 (* Assignment-only formulation (P1): widths fixed, so each bus's load row
    is exact — no width indicators, no big-M. *)
@@ -590,6 +610,7 @@ let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
       dropped_nodes = stats.Branch_bound.dropped_nodes;
       cancelled_nodes = stats.Branch_bound.cancelled_nodes;
       seeded_bound = None;
+      seed_fallback = false;
       cuts_added = rp_cuts;
       presolve_fixed = rp_fixed;
       elapsed_s = Clock.elapsed_s ~since:start }

@@ -52,6 +52,10 @@ type solve_stats = {
       (** Test time of the heuristic incumbent that primed the search
           ([None] when seeding was disabled, found nothing, or the
           budget was already spent). *)
+  seed_fallback : bool;
+      (** Branch and bound ended without a point of its own (an
+          [Infeasible] verdict, or a budget that expired first), so the
+          verified heuristic seed is the answer, with [optimal = false]. *)
   cuts_added : int;
       (** Clique rows strengthening the model: size-[>= 3] cover rows
           installed at build time plus rows separated at the root. *)
@@ -88,7 +92,11 @@ val build :
 (** [solve ?formulation ?symmetry_breaking ?seed_incumbent ?node_limit
     problem] builds and solves the MILP to optimality.
     [seed_incumbent] (default [true]) primes branch and bound with the
-    heuristic solution's value.
+    heuristic solution's value and keeps its architecture as the
+    fallback answer: when the search ends with no point of its own, the
+    [Verify]-checked seed is returned with [optimal = false] and
+    [seed_fallback] set, so a seeded solve never answers "infeasible"
+    on a feasible instance.
 
     [deadline_s] is an {e absolute} {!Soctam_obs.Clock.now_s} instant
     (as opposed to the relative [time_limit_s]); the effective budget
@@ -106,9 +114,10 @@ val build :
     The racing hooks mirror {!Soctam_ilp.Branch_bound.solve}: [shared]
     is re-read at every node entry and must only ever return test times
     of known-feasible architectures (pruning against it is then sound);
-    under [?shared] a [None] solution with [optimal = true] means "no
-    architecture strictly beats the tightest shared bound observed",
-    which certifies the shared incumbent — not infeasibility.
+    under [?shared], unseeded, a [None] solution with [optimal = true]
+    means "no architecture strictly beats the tightest shared bound
+    observed", which certifies the shared incumbent — not
+    infeasibility.
     [on_incumbent] fires with each new decoded incumbent architecture;
     [should_stop] is polled at every node and LP pivot. *)
 val solve :

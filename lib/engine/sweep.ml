@@ -47,6 +47,7 @@ type row = {
   cuts_added : int;
   presolve_fixed : int;
   seeded_bound : int option;
+  seed_fallback : bool;
   winner : string option;
   cancelled_nodes : int;
   elapsed_s : float;
@@ -132,6 +133,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event memos cell =
       cuts_added = 0;
       presolve_fixed = 0;
       seeded_bound = None;
+      seed_fallback = false;
       winner = None;
       cancelled_nodes = 0;
       elapsed_s = 0.0 }
@@ -160,6 +162,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event memos cell =
           cuts_added = r.Ilp.stats.Ilp.cuts_added;
           presolve_fixed = r.Ilp.stats.Ilp.presolve_fixed;
           seeded_bound = r.Ilp.stats.Ilp.seeded_bound;
+          seed_fallback = r.Ilp.stats.Ilp.seed_fallback;
           cancelled_nodes = r.Ilp.stats.Ilp.cancelled_nodes }
     | Heuristic ->
         let solution =
@@ -260,57 +263,60 @@ let totals rows =
    harness both emit it, so downstream tooling parses one schema. *)
 let json_of_row r =
   Json.Obj
-    [ ("total_width", Json.int r.total_width);
-      ("num_buses", Json.int r.num_buses);
-      ( "test_time",
-        match (r.solution, r.packing) with
-        | Some (_, t), _ -> Json.int t
-        | None, Some p -> Json.int p.Rect_sched.makespan
-        | None, None -> Json.Null );
-      ( "widths",
-        match r.solution with
-        | Some (arch, _) ->
-            Json.Arr
-              (Array.to_list
-                 (Array.map Json.int arch.Architecture.widths))
-        | None -> Json.Null );
-      ( "assignment",
-        match r.solution with
-        | Some (arch, _) ->
-            Json.Arr
-              (Array.to_list
-                 (Array.map Json.int arch.Architecture.assignment))
-        | None -> Json.Null );
-      ( "placements",
-        match r.packing with
-        | Some p ->
-            Json.Arr
-              (List.map
-                 (fun (pl : Rect_sched.placement) ->
-                   Json.Obj
-                     [ ("core", Json.int pl.core);
-                       ("width", Json.int pl.width);
-                       ("wire_lo", Json.int pl.wire_lo);
-                       ("start", Json.int pl.start);
-                       ("finish", Json.int pl.finish) ])
-                 p.Rect_sched.placements)
-        | None -> Json.Null );
-      ("feasible", Json.Bool (r.solution <> None || r.packing <> None));
-      ("optimal", Json.Bool r.optimal);
-      ("nodes", Json.int r.nodes);
-      ("lp_pivots", Json.int r.lp_pivots);
-      ("max_depth", Json.int r.max_depth);
-      ("warm_starts", Json.int r.warm_starts);
-      ("cold_solves", Json.int r.cold_solves);
-      ("refactorizations", Json.int r.refactorizations);
-      ("cuts_added", Json.int r.cuts_added);
-      ("presolve_fixed", Json.int r.presolve_fixed);
-      ( "seeded_bound",
-        match r.seeded_bound with Some b -> Json.int b | None -> Json.Null );
-      ( "winner",
-        match r.winner with Some w -> Json.Str w | None -> Json.Null );
-      ("cancelled_nodes", Json.int r.cancelled_nodes);
-      ("elapsed_s", Json.Num r.elapsed_s) ]
+    ([ ("total_width", Json.int r.total_width);
+       ("num_buses", Json.int r.num_buses);
+       ( "test_time",
+         match (r.solution, r.packing) with
+         | Some (_, t), _ -> Json.int t
+         | None, Some p -> Json.int p.Rect_sched.makespan
+         | None, None -> Json.Null );
+       ( "widths",
+         match r.solution with
+         | Some (arch, _) ->
+             Json.Arr
+               (Array.to_list
+                  (Array.map Json.int arch.Architecture.widths))
+         | None -> Json.Null );
+       ( "assignment",
+         match r.solution with
+         | Some (arch, _) ->
+             Json.Arr
+               (Array.to_list
+                  (Array.map Json.int arch.Architecture.assignment))
+         | None -> Json.Null );
+       ( "placements",
+         match r.packing with
+         | Some p ->
+             Json.Arr
+               (List.map
+                  (fun (pl : Rect_sched.placement) ->
+                    Json.Obj
+                      [ ("core", Json.int pl.core);
+                        ("width", Json.int pl.width);
+                        ("wire_lo", Json.int pl.wire_lo);
+                        ("start", Json.int pl.start);
+                        ("finish", Json.int pl.finish) ])
+                  p.Rect_sched.placements)
+         | None -> Json.Null );
+       ("feasible", Json.Bool (r.solution <> None || r.packing <> None));
+       ("optimal", Json.Bool r.optimal);
+       ("nodes", Json.int r.nodes);
+       ("lp_pivots", Json.int r.lp_pivots);
+       ("max_depth", Json.int r.max_depth);
+       ("warm_starts", Json.int r.warm_starts);
+       ("cold_solves", Json.int r.cold_solves);
+       ("refactorizations", Json.int r.refactorizations);
+       ("cuts_added", Json.int r.cuts_added);
+       ("presolve_fixed", Json.int r.presolve_fixed);
+       ( "seeded_bound",
+         match r.seeded_bound with Some b -> Json.int b | None -> Json.Null );
+       ( "winner",
+         match r.winner with Some w -> Json.Str w | None -> Json.Null );
+       ("cancelled_nodes", Json.int r.cancelled_nodes);
+       ("elapsed_s", Json.Num r.elapsed_s) ]
+    (* Present only on the rare fallback rows, so every other row keeps
+       its bytes; an absent field reads back as [false]. *)
+    @ if r.seed_fallback then [ ("seed_fallback", Json.Bool true) ] else [])
 
 (* Inverse of [json_of_row], for the persistent result store: a row
    serialized, stored, re-parsed and re-serialized must print the same
@@ -420,6 +426,12 @@ let row_of_json json =
   let* cuts_added = int_field "cuts_added" in
   let* presolve_fixed = int_field "presolve_fixed" in
   let* seeded_bound = int_opt_field "seeded_bound" in
+  let* seed_fallback =
+    match Json.member "seed_fallback" json with
+    | None -> Ok false
+    | Some (Json.Bool b) -> Ok b
+    | Some _ -> Error "row_of_json: field \"seed_fallback\" is not a bool"
+  in
   let* winner =
     let* v = field "winner" in
     match v with
@@ -449,6 +461,7 @@ let row_of_json json =
       cuts_added;
       presolve_fixed;
       seeded_bound;
+      seed_fallback;
       winner;
       cancelled_nodes;
       elapsed_s }
@@ -483,5 +496,6 @@ let equal_rows a b =
          && x.refactorizations = y.refactorizations
          && x.cuts_added = y.cuts_added
          && x.presolve_fixed = y.presolve_fixed
-         && x.seeded_bound = y.seeded_bound)
+         && x.seeded_bound = y.seeded_bound
+         && x.seed_fallback = y.seed_fallback)
        a b

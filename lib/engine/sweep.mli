@@ -60,7 +60,9 @@ type row = {
   packing : Soctam_sched.Rect_sched.t option;
       (** [Pack] cells only: the packed schedule; its makespan is the
           cell's test time. [solution] stays [None] on such rows. *)
-  optimal : bool;  (** [false] only when an [Ilp] budget expired. *)
+  optimal : bool;
+      (** [false] only when an [Ilp] budget expired or the MILP fell
+          back to its seed ([seed_fallback]). *)
   nodes : int;
       (** Search nodes: assignment-DP/B&B nodes for [Exact], MILP
           branch-and-bound nodes for [Ilp], [0] for [Heuristic]. *)
@@ -73,6 +75,10 @@ type row = {
   presolve_fixed : int;  (** Variables eliminated ([Ilp] only). *)
   seeded_bound : int option;
       (** Heuristic incumbent that primed the MILP ([Ilp] with [seed]). *)
+  seed_fallback : bool;
+      (** The MILP's search found nothing below its seed, so the row
+          carries the verified seed with [optimal = false] ([Ilp] only;
+          see {!Soctam_core.Ilp_formulation.solve_stats}). *)
   winner : string option;
       (** Certifying (or best-incumbent) engine ([Race] only). *)
   cancelled_nodes : int;

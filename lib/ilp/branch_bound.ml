@@ -83,23 +83,28 @@ module Heap = struct
 end
 
 (* Most fractional integer variable within the highest fractional
-   priority class, or None if the point is integral. *)
+   priority class, or None if the point is integral. The key
+   (priority, fractionality) is compared lexicographically, the int
+   first: no key tuple, boxed float or polymorphic compare per
+   variable. *)
 let most_fractional ~int_tol ~priority int_vars (point : float array) =
-  let best = ref None in
-  let best_key = ref (min_int, int_tol) in
-  let consider v =
+  let best = ref (-1) in
+  let best_pri = ref min_int in
+  let best_frac = ref int_tol in
+  for k = 0 to Array.length int_vars - 1 do
+    let v = int_vars.(k) in
     let x = point.(v) in
     let frac = Float.abs (x -. Float.round x) in
     if frac > int_tol then begin
-      let key = (priority v, frac) in
-      if key > !best_key then begin
-        best_key := key;
-        best := Some v
+      let pri = priority v in
+      if pri > !best_pri || (pri = !best_pri && frac > !best_frac) then begin
+        best := v;
+        best_pri := pri;
+        best_frac := frac
       end
     end
-  in
-  List.iter consider int_vars;
-  !best
+  done;
+  if !best < 0 then None else Some !best
 
 let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
     ?(integral_objective = false) ?incumbent ?shared ?on_incumbent
@@ -116,6 +121,7 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
     match direction with Model.Minimize -> s | Model.Maximize -> -.s
   in
   let int_vars = Model.integer_vars model in
+  let int_var_arr = Array.of_list int_vars in
   (* One incremental LP handle for the whole tree: the scaled tableau is
      built once, and every node solve reuses it with its own bound
      overrides, warm-starting from the parent basis where possible. *)
@@ -235,8 +241,8 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
             end
             else
               match
-                most_fractional ~int_tol ~priority:branch_priority int_vars
-                  point
+                most_fractional ~int_tol ~priority:branch_priority
+                  int_var_arr point
               with
               | None ->
                   (* Integral: new incumbent. Snap integer variables to

@@ -44,12 +44,6 @@ let refactor_period = 64
 module Incremental = struct
   type basis = { sb : int array; sstat : Bytes.t }
 
-  (* One recorded Forrest-Tomlin update: the basis position replaced
-     ([upos], in the position frame current when the update was made)
-     and the row-eta multipliers that re-triangularized the last row
-     after the cyclic shift. *)
-  type update = { upos : int; etas : (int * float) array }
-
   (* Revised bounded-variable simplex over the equality form A x + s = b
      with one slack per row (Le: s in [0,inf), Ge: s in (-inf,0], Eq:
      s = 0) and one artificial slot per row for cold phase-1 starts.
@@ -58,12 +52,22 @@ module Incremental = struct
 
      Unlike the dense-tableau predecessor, no B^-1 A is maintained.
      The constraint matrix is stored once as sparse scaled columns, and
-     the basis is carried as a dense LU factorization (PB = LU, partial
+     the basis is carried as an LU factorization (PB = LU, partial
      pivoting) refreshed by Forrest-Tomlin updates and refactorized
      every [refactor_period] basis changes. Each pricing pass recomputes
      reduced costs from scratch (one BTRAN of the basic costs), so cost
      drift cannot accumulate across the thousands of node solves of a
      branch-and-bound run.
+
+     Sparsity: U is stored densely, but L is kept as per-column lists
+     of its nonzero multipliers, the triangular solves sum only over
+     the positions whose computed value is nonzero, and the eliminations
+     walk only the pivot row's nonzero columns. Every skipped term has
+     an exact 0.0 factor and the remaining terms keep the dense loops'
+     order, so each nonzero result is bit-for-bit the dense one (at
+     most the sign of an exact zero differs, which no comparison, ratio
+     or division in the solver reads). Pivots therefore do not depend
+     on the sparsity handling at all.
 
      All data lives in the doubly-equilibrated space: structural column
      [v] stores coefficients scaled by [cscale.(v)] (so the scaled
@@ -105,12 +109,30 @@ module Incremental = struct
     dse : float array;
         (** Steepest-edge reference weights per position (dual
             pricing); reset to 1 on cold starts and restores. *)
-    lu : float array array;
-        (** L of the last refactorization: unit lower triangle stored
-            as multipliers below the diagonal (upper part is scratch). *)
-    umat : float array array;  (** Current (FT-updated) upper factor. *)
+    lu : float array array;  (** Elimination workspace of [refactorize]. *)
+    umat : float array array;
+        (** Current (FT-updated) upper factor. Only the diagonal and the
+            part right of it are meaningful: nothing reads the entries
+            left of the diagonal. *)
     perm : int array;  (** Row permutation of the factorization. *)
-    updates : update array;  (** FT updates since refactorization. *)
+    l_start : int array;
+        (** L of the last refactorization by columns (unit diagonal
+            implied): column k's nonzero multipliers sit at
+            [l_start.(k) .. l_start.(k + 1) - 1] of [l_row]/[l_val],
+            rows ascending. *)
+    mutable l_row : int array;
+    mutable l_val : float array;
+    upd_pos : int array;
+        (** Per FT update since refactorization: the basis position
+            replaced, in the position frame current when the update was
+            made. *)
+    eta_len : int array;
+    eta_idx : int array array;
+    eta_val : float array array;
+        (** Per update slot: the row-eta multipliers (column, value;
+            [eta_len] of them, columns ascending) that
+            re-triangularized the last row after the cyclic shift. A
+            slot's arrays are sized on its first use and reused. *)
     mutable nupd : int;
     mutable factorized : bool;
     mutable refactors : int;
@@ -130,6 +152,12 @@ module Incremental = struct
     v_spike : float array;  (** Entering column after L and updates. *)
     scr : float array;
     scr_row : float array;
+    nz : int array;
+        (** Nonzero positions found by a triangular solve; the pivot
+            row's nonzero columns during [refactorize]. *)
+    nz_row : int array;
+        (** [refactorize]: rows with a nonzero in the pivot column,
+            then the final position of each original row. *)
   }
 
   let warm_starts t = t.warm
@@ -251,7 +279,13 @@ module Incremental = struct
       lu = Array.init (max 1 m) (fun _ -> Array.make (max 1 m) 0.0);
       umat = Array.init (max 1 m) (fun _ -> Array.make (max 1 m) 0.0);
       perm = Array.init (max 1 m) Fun.id;
-      updates = Array.make refactor_period { upos = 0; etas = [||] };
+      l_start = Array.make (m + 1) 0;
+      l_row = Array.make (max 1 m) 0;
+      l_val = Array.make (max 1 m) 0.0;
+      upd_pos = Array.make refactor_period 0;
+      eta_len = Array.make refactor_period 0;
+      eta_idx = Array.make refactor_period [||];
+      eta_val = Array.make refactor_period [||];
       nupd = 0;
       factorized = false;
       refactors = 0;
@@ -265,21 +299,31 @@ module Incremental = struct
       v_alpha = Array.make (max 1 m) 0.0;
       v_spike = Array.make (max 1 m) 0.0;
       scr = Array.make (max 1 m) 0.0;
-      scr_row = Array.make (max 1 m) 0.0 }
+      scr_row = Array.make (max 1 m) 0.0;
+      nz = Array.make (max 1 m) 0;
+      nz_row = Array.make (max 1 m) 0 }
 
   let val_of t j = if Bytes.get t.vstat j = st_upper then t.ub.(j) else t.lb.(j)
 
-  (* Column access: structural columns from the sparse store, slack j a
-     unit vector, artificial j a signed unit vector. *)
-  let iter_col t j f =
+  (* Column scatter v := v + s * a_j: structural columns from the
+     sparse store, slack j a unit vector, artificial j a signed unit
+     vector. *)
+  let add_col t j s v =
     if j < t.nstruct then begin
       let idx = t.col_idx.(j) and vl = t.col_val.(j) in
       for k = 0 to Array.length idx - 1 do
-        f idx.(k) vl.(k)
+        let r = idx.(k) in
+        v.(r) <- v.(r) +. (s *. vl.(k))
       done
     end
-    else if j < t.art_base then f (j - t.slack_base) 1.0
-    else f (j - t.art_base) t.art_sign.(j - t.art_base)
+    else if j < t.art_base then begin
+      let r = j - t.slack_base in
+      v.(r) <- v.(r) +. s
+    end
+    else begin
+      let r = j - t.art_base in
+      v.(r) <- v.(r) +. (s *. t.art_sign.(r))
+    end
 
   let dot_col t j y =
     if j < t.nstruct then begin
@@ -293,9 +337,25 @@ module Incremental = struct
     else if j < t.art_base then y.(j - t.slack_base)
     else t.art_sign.(j - t.art_base) *. y.(j - t.art_base)
 
-  (* Refactorize the basis from pristine columns: dense LU with partial
+  (* Append multiplier [l] at row [i] as L entry number [p], growing
+     the column store when it is full. *)
+  let push_l t p i l =
+    if p = Array.length t.l_row then begin
+      let cap = 2 * p in
+      let rows = Array.make cap 0 and vals = Array.make cap 0.0 in
+      Array.blit t.l_row 0 rows 0 p;
+      Array.blit t.l_val 0 vals 0 p;
+      t.l_row <- rows;
+      t.l_val <- vals
+    end;
+    t.l_row.(p) <- i;
+    t.l_val.(p) <- l
+
+  (* Refactorize the basis from pristine columns: LU with partial
      pivoting, PB = LU. Ties in the pivot search go to the lowest row,
      so the factorization (and every solve through it) is deterministic.
+     Each elimination step visits only the rows with a nonzero in the
+     pivot column and, in them, only the pivot row's nonzero columns.
      Returns [false] on a singular basis ([factorized] cleared). *)
   let refactorize t =
     t.refactors <- t.refactors + 1;
@@ -307,21 +367,41 @@ module Incremental = struct
       Array.fill w.(i) 0 m 0.0
     done;
     for p = 0 to m - 1 do
-      iter_col t t.basis_arr.(p) (fun i a -> w.(i).(p) <- w.(i).(p) +. a)
+      let j = t.basis_arr.(p) in
+      if j < t.nstruct then begin
+        let idx = t.col_idx.(j) and vl = t.col_val.(j) in
+        for k = 0 to Array.length idx - 1 do
+          w.(idx.(k)).(p) <- vl.(k)
+        done
+      end
+      else if j < t.art_base then w.(j - t.slack_base).(p) <- 1.0
+      else w.(j - t.art_base).(p) <- t.art_sign.(j - t.art_base)
     done;
     for i = 0 to m - 1 do
       t.perm.(i) <- i
     done;
+    let rows = t.nz_row and cols = t.nz in
+    (* L multipliers are recorded as they are made, tagged with their
+       row's original index: later row swaps move them, so their final
+       positions are known only once the elimination is done. *)
+    let nnz = ref 0 in
     let ok = ref true in
     (try
        for k = 0 to m - 1 do
+         t.l_start.(k) <- !nnz;
          let best = ref (Float.abs w.(k).(k)) in
          let bi = ref k in
+         let nrows = ref 0 in
          for i = k + 1 to m - 1 do
-           let a = Float.abs w.(i).(k) in
-           if a > !best then begin
-             best := a;
-             bi := i
+           let x = w.(i).(k) in
+           if x <> 0.0 then begin
+             rows.(!nrows) <- i;
+             incr nrows;
+             let a = Float.abs x in
+             if a > !best then begin
+               best := a;
+               bi := i
+             end
            end
          done;
          if !best < lu_tol then begin
@@ -336,24 +416,62 @@ module Incremental = struct
            t.perm.(k) <- t.perm.(!bi);
            t.perm.(!bi) <- tp
          end;
-         let piv = w.(k).(k) in
-         for i = k + 1 to m - 1 do
-           let f = w.(i).(k) /. piv in
-           w.(i).(k) <- f;
-           if f <> 0.0 then
-             for j = k + 1 to m - 1 do
-               w.(i).(j) <- w.(i).(j) -. (f *. w.(k).(j))
-             done
+         let wk = w.(k) in
+         let piv = wk.(k) in
+         let ncols = ref 0 in
+         for j = k + 1 to m - 1 do
+           if wk.(j) <> 0.0 then begin
+             cols.(!ncols) <- j;
+             incr ncols
+           end
+         done;
+         (* After the swap, row [bi] holds the old row [k], whose entry
+            may be zero: hence the re-test. *)
+         for q = 0 to !nrows - 1 do
+           let i = rows.(q) in
+           let wi = w.(i) in
+           let a = wi.(k) in
+           if a <> 0.0 then begin
+             let f = a /. piv in
+             wi.(k) <- f;
+             if f <> 0.0 then begin
+               push_l t !nnz t.perm.(i) f;
+               incr nnz;
+               for c = 0 to !ncols - 1 do
+                 let j = cols.(c) in
+                 wi.(j) <- wi.(j) -. (f *. wk.(j))
+               done
+             end
+           end
          done
        done
      with Exit -> ());
     if !ok then begin
+      t.l_start.(m) <- !nnz;
       for i = 0 to m - 1 do
-        let src = w.(i) and dst = t.umat.(i) in
-        for j = 0 to i - 1 do
-          dst.(j) <- 0.0
-        done;
-        Array.blit src i dst i (m - i)
+        Array.blit w.(i) i t.umat.(i) i (m - i)
+      done;
+      (* Final positions of the recorded multipliers; each column's
+         entries are then sorted by row (insertion sort: columns hold a
+         handful of entries). *)
+      let pos = t.nz_row in
+      for i = 0 to m - 1 do
+        pos.(t.perm.(i)) <- i
+      done;
+      let lr = t.l_row and lv = t.l_val in
+      for k = 0 to m - 1 do
+        let lo = t.l_start.(k) in
+        for p = lo to t.l_start.(k + 1) - 1 do
+          let i = pos.(lr.(p)) and l = lv.(p) in
+          let q = ref (p - 1) in
+          while !q >= lo && lr.(!q) > i do
+            lr.(!q + 1) <- lr.(!q);
+            lv.(!q + 1) <- lv.(!q);
+            decr q
+          done;
+          lr.(!q + 1) <- i;
+          lv.(!q + 1) <- l
+        done
       done;
       t.factorized <- true
     end
@@ -369,66 +487,92 @@ module Incremental = struct
       t.scr.(i) <- v.(t.perm.(i))
     done;
     Array.blit t.scr 0 v 0 m;
+    let ls = t.l_start and lr = t.l_row and lv = t.l_val in
     for k = 0 to m - 1 do
       let vk = v.(k) in
       if vk <> 0.0 then
-        for i = k + 1 to m - 1 do
-          let l = t.lu.(i).(k) in
-          if l <> 0.0 then v.(i) <- v.(i) -. (l *. vk)
+        for p = ls.(k) to ls.(k + 1) - 1 do
+          let i = lr.(p) in
+          v.(i) <- v.(i) -. (lv.(p) *. vk)
         done
     done;
     for u = 0 to t.nupd - 1 do
-      let { upos = r; etas } = t.updates.(u) in
+      let r = t.upd_pos.(u) in
       let save = v.(r) in
       for i = r to m - 2 do
         v.(i) <- v.(i + 1)
       done;
-      v.(m - 1) <- save;
-      Array.iter (fun (j, mu) -> v.(m - 1) <- v.(m - 1) -. (mu *. v.(j))) etas
+      let idx = t.eta_idx.(u) and mu = t.eta_val.(u) in
+      let acc = ref save in
+      for e = 0 to t.eta_len.(u) - 1 do
+        acc := !acc -. (mu.(e) *. v.(idx.(e)))
+      done;
+      v.(m - 1) <- !acc
     done
 
-  (* FTRAN, second leg: back-substitution on the updated upper factor. *)
+  (* FTRAN, second leg: back-substitution on the updated upper factor,
+     summing over the already-solved positions whose value is nonzero
+     ([nz] lists them, found in descending order, read ascending). *)
   let utran t v =
-    let u = t.umat in
+    let u = t.umat and nz = t.nz in
+    let cnt = ref 0 in
     for k = t.m - 1 downto 0 do
       let row = u.(k) in
       let acc = ref v.(k) in
-      for j = k + 1 to t.m - 1 do
+      for q = !cnt - 1 downto 0 do
+        let j = nz.(q) in
         acc := !acc -. (row.(j) *. v.(j))
       done;
-      v.(k) <- !acc /. row.(k)
+      let x = !acc /. row.(k) in
+      v.(k) <- x;
+      if x <> 0.0 then begin
+        nz.(!cnt) <- k;
+        incr cnt
+      end
     done
 
   (* BTRAN: v := B^-T v, the exact transpose of the FTRAN pipeline run
-     backwards (U^T forward-solve, updates reversed, L^T back-solve,
-     inverse permutation). Input is in the current position frame,
-     output in original row coordinates — ready for [dot_col]. *)
+     backwards (U^T forward-solve over the nonzero solved positions,
+     updates reversed, L^T back-solve, inverse permutation). Input is in
+     the current position frame, output in original row coordinates —
+     ready for [dot_col]. *)
   let btran t v =
     let m = t.m in
-    let u = t.umat in
+    let u = t.umat and nz = t.nz in
+    let cnt = ref 0 in
     for k = 0 to m - 1 do
       let acc = ref v.(k) in
-      for j = 0 to k - 1 do
+      for q = 0 to !cnt - 1 do
+        let j = nz.(q) in
         acc := !acc -. (u.(j).(k) *. v.(j))
       done;
-      v.(k) <- !acc /. u.(k).(k)
+      let x = !acc /. u.(k).(k) in
+      v.(k) <- x;
+      if x <> 0.0 then begin
+        nz.(!cnt) <- k;
+        incr cnt
+      end
     done;
     for ui = t.nupd - 1 downto 0 do
-      let { upos = r; etas } = t.updates.(ui) in
+      let r = t.upd_pos.(ui) in
       let vm = v.(m - 1) in
-      if vm <> 0.0 then
-        Array.iter (fun (j, mu) -> v.(j) <- v.(j) -. (mu *. vm)) etas;
-      let save = v.(m - 1) in
+      if vm <> 0.0 then begin
+        let idx = t.eta_idx.(ui) and mu = t.eta_val.(ui) in
+        for e = 0 to t.eta_len.(ui) - 1 do
+          let j = idx.(e) in
+          v.(j) <- v.(j) -. (mu.(e) *. vm)
+        done
+      end;
       for i = m - 1 downto r + 1 do
         v.(i) <- v.(i - 1)
       done;
-      v.(r) <- save
+      v.(r) <- vm
     done;
+    let ls = t.l_start and lr = t.l_row and lv = t.l_val in
     for k = m - 2 downto 0 do
       let acc = ref v.(k) in
-      for i = k + 1 to m - 1 do
-        let l = t.lu.(i).(k) in
-        if l <> 0.0 then acc := !acc -. (l *. v.(i))
+      for p = ls.(k) to ls.(k + 1) - 1 do
+        acc := !acc -. (lv.(p) *. v.(lr.(p)))
       done;
       v.(k) <- !acc
     done;
@@ -441,7 +585,7 @@ module Incremental = struct
      Forrest-Tomlin update) and B^-1 a_j in [v_alpha]. *)
   let ftran_col t j =
     Array.fill t.v_spike 0 (max 1 t.m) 0.0;
-    iter_col t j (fun r a -> t.v_spike.(r) <- t.v_spike.(r) +. a);
+    add_col t j 1.0 t.v_spike;
     ltran t t.v_spike;
     Array.blit t.v_spike 0 t.v_alpha 0 t.m;
     utran t t.v_alpha
@@ -455,19 +599,24 @@ module Incremental = struct
 
   (* BTRAN of the basic costs into [v_y]; the reduced cost of column j
      is then obj_coeffs.(j) - dot_col j v_y. Recomputed from scratch at
-     every pricing pass, so there is no cost row to drift. *)
+     every pricing pass, so there is no cost row to drift. Usually no
+     basic column carries a cost: then y = B^-T 0 is the zero vector
+     already in place, and the solve is skipped. *)
   let btran_obj t =
+    let costed = ref false in
     for i = 0 to t.m - 1 do
-      t.v_y.(i) <- t.obj_coeffs.(t.basis_arr.(i))
+      let c = t.obj_coeffs.(t.basis_arr.(i)) in
+      t.v_y.(i) <- c;
+      if c <> 0.0 then costed := true
     done;
-    btran t t.v_y
+    if !costed then btran t t.v_y
 
   (* Forrest-Tomlin update for position [r] replaced by the column whose
      spike is in [spike]: cyclic shift of rows/columns r..m-1 of U (the
      shifted row goes last), spike becomes the last column, and the last
-     row is re-triangularized with recorded row etas. Returns [false]
-     when a pivot is too small — U may then be half-updated, and the
-     caller must refactorize. *)
+     row is re-triangularized with row etas recorded in the next update
+     slot. Returns [false] when a pivot is too small — U may then be
+     half-updated, and the caller must refactorize. *)
   let ft_update t ~pos:r ~spike =
     let m = t.m in
     let u = t.umat in
@@ -483,23 +632,23 @@ module Incremental = struct
     done;
     for i = r to m - 2 do
       let dst = u.(i) and src = u.(i + 1) in
-      for j = 0 to r - 1 do
-        dst.(j) <- 0.0
-      done;
       for j = r to m - 2 do
         dst.(j) <- src.(j + 1)
       done;
       dst.(m - 1) <- spike.(i + 1)
     done;
     let last = u.(m - 1) in
-    for j = 0 to r - 1 do
-      last.(j) <- 0.0
-    done;
     for j = r to m - 2 do
       last.(j) <- t.scr_row.(j + 1)
     done;
     last.(m - 1) <- spike.(r);
-    let etas = ref [] in
+    let slot = t.nupd in
+    if Array.length t.eta_idx.(slot) = 0 then begin
+      t.eta_idx.(slot) <- Array.make m 0;
+      t.eta_val.(slot) <- Array.make m 0.0
+    end;
+    let idx = t.eta_idx.(slot) and etas = t.eta_val.(slot) in
+    let cnt = ref 0 in
     let ok = ref true in
     (try
        for j = r to m - 2 do
@@ -511,18 +660,22 @@ module Incremental = struct
              raise Exit
            end;
            let mu = v /. d in
-           etas := (j, mu) :: !etas;
+           idx.(!cnt) <- j;
+           etas.(!cnt) <- mu;
+           incr cnt;
            last.(j) <- 0.0;
+           let uj = u.(j) in
            for jj = j + 1 to m - 1 do
-             last.(jj) <- last.(jj) -. (mu *. u.(j).(jj))
+             last.(jj) <- last.(jj) -. (mu *. uj.(jj))
            done
          end
          else last.(j) <- 0.0
        done
      with Exit -> ());
     if !ok && Float.abs last.(m - 1) > lu_tol then begin
-      t.updates.(t.nupd) <- { upos = r; etas = Array.of_list (List.rev !etas) };
-      t.nupd <- t.nupd + 1;
+      t.upd_pos.(slot) <- r;
+      t.eta_len.(slot) <- !cnt;
+      t.nupd <- slot + 1;
       true
     end
     else false
@@ -734,8 +887,7 @@ module Incremental = struct
     Array.blit t.b0 0 rho 0 t.m;
     for v = 0 to t.nstruct - 1 do
       let x = val_of t v in
-      if x <> 0.0 then
-        iter_col t v (fun r a -> rho.(r) <- rho.(r) -. (a *. x))
+      if x <> 0.0 then add_col t v (-.x) rho
     done;
     let nart = ref 0 in
     for r = 0 to t.m - 1 do
@@ -939,8 +1091,7 @@ module Incremental = struct
         for j = 0 to t.ncols - 1 do
           if Bytes.get t.vstat j <> st_basic then begin
             let x = val_of t j in
-            if x <> 0.0 then
-              iter_col t j (fun r a -> v.(r) <- v.(r) -. (a *. x))
+            if x <> 0.0 then add_col t j (-.x) v
           end
         done;
         ltran t v;

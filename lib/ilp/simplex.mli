@@ -3,11 +3,24 @@
     The LP relaxations solved here are small (tens of variables, tens of
     constraints) but are solved thousands of times per branch-and-bound
     run. The solver keeps the constraint matrix as sparse scaled columns
-    and carries the basis as a dense LU factorization (partial
-    pivoting) maintained by Forrest-Tomlin updates, with a periodic
+    and carries the basis as an LU factorization (partial pivoting)
+    maintained by Forrest-Tomlin updates, with a periodic
     refactorization from pristine data — so numerical drift is bounded
     by the refactorization period rather than by the length of the
-    branch-and-bound run. Variable bounds are handled natively: a
+    branch-and-bound run.
+
+    The kernels are sparsity-aware without changing the arithmetic: L
+    is held as per-column lists of its nonzero multipliers, the U and
+    U{^T} solves sum only over positions whose computed value is
+    nonzero, the factorization's elimination visits only the nonzero
+    rows of the pivot column and the nonzero columns of the pivot row,
+    and the Forrest-Tomlin row etas live in preallocated per-update
+    arrays (no allocation per pivot). Invariant: every skipped term has
+    an exact [0.0] factor, and the remaining terms are summed in the
+    dense loops' order, so every nonzero value is bit-for-bit the dense
+    result — pivots, node counts and answers are those of the dense
+    kernels. At most the sign of an exact zero can differ, and no
+    comparison, ratio or division in the solver reads it. Variable bounds are handled natively: a
     nonbasic variable sits at its lower or upper bound, so finite upper
     bounds cost nothing — no explicit [x <= u] rows are added.
 

@@ -5,7 +5,31 @@ module Verify = Soctam_core.Verify
 module Model = Soctam_ilp.Model
 module Benchmarks = Soctam_soc.Benchmarks
 
+module Floorplan = Soctam_layout.Floorplan
+module Conflicts = Soctam_layout.Conflicts
+module Power_conflicts = Soctam_power.Power_conflicts
+module Test_time = Soctam_soc.Test_time
+
 let s1 = Benchmarks.s1 ()
+
+(* An [rnd:<seed>:<cores>] instance with its pairs derived as the daemon
+   derives them: exclusions from the placed floorplan, co-assignments
+   from the power budget. *)
+let rnd_problem ?d_max ?p_max ~seed ~cores ~num_buses ~total_width () =
+  let soc = Benchmarks.random ~seed ~num_cores:cores () in
+  let exclusion_pairs =
+    match d_max with
+    | None -> []
+    | Some d -> Conflicts.exclusion_pairs (Floorplan.place soc) ~d_max_mm:d
+  in
+  let co_pairs =
+    match p_max with
+    | None -> []
+    | Some p -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:p
+  in
+  Problem.make ~time_model:Test_time.Serialization
+    ~constraints:{ Problem.exclusion_pairs; co_pairs }
+    soc ~num_buses ~total_width
 
 let ilp_time ?formulation ?symmetry_breaking ?seed_incumbent problem =
   let r = Ilp.solve ?formulation ?symmetry_breaking ?seed_incumbent problem in
@@ -104,6 +128,70 @@ let prop_ilp_matches_exact_random =
       let i = match r.Ilp.solution with Some (_, t) -> Some t | None -> None in
       r.Ilp.optimal && i = exact_time problem)
 
+(* On this instance the seeded search prunes everything below its
+   cutoff (seed + 1) and ends "infeasible", although the greedy seed
+   is the optimum (1157295, per Exact). The solve must still answer
+   with the verified seed, without claiming optimality. *)
+let test_seed_fallback () =
+  let problem =
+    rnd_problem ~seed:28348171 ~cores:7 ~num_buses:2 ~total_width:16
+      ~d_max:4.55 ()
+  in
+  let r = Ilp.solve problem in
+  Alcotest.(check (option int)) "exact optimum" (Some 1157295)
+    (exact_time problem);
+  Alcotest.(check (option int)) "seed returned" (Some 1157295)
+    (Option.map snd r.Ilp.solution);
+  Alcotest.(check bool) "not claimed optimal" false r.Ilp.optimal;
+  Alcotest.(check bool) "fallback flagged" true r.Ilp.stats.Ilp.seed_fallback;
+  Alcotest.(check (option int)) "seeded bound" (Some 1157295)
+    r.Ilp.stats.Ilp.seeded_bound;
+  (match r.Ilp.solution with
+  | Some (arch, t) ->
+      Alcotest.(check (result unit string)) "verified" (Ok ())
+        (Verify.check problem arch ~claimed_time:t)
+  | None -> ());
+  (* Unseeded (as in races) there is no seed to fall back on. *)
+  let cold = Ilp.solve ~seed_incumbent:false problem in
+  Alcotest.(check bool) "no fallback unseeded" false
+    cold.Ilp.stats.Ilp.seed_fallback
+
+(* Tripwire for the node-LP arithmetic: three MILP benchmark-pool
+   instances solved as the daemon solves them (seeded, presolve and
+   cuts on), with their exact work counters. The sparse kernels in
+   [Simplex] skip only exact-zero terms and keep the order of the rest,
+   so these counts are a fingerprint of the LP arithmetic: if a change
+   moves any of them, it changed pivots, and the 21,000-candidate MILP
+   screen ([perfbench/bench.exe --screen-ilp 0:21000]) must be rerun
+   against [perfbench/known_bad.ml]. *)
+let test_node_lp_tripwire () =
+  List.iter
+    (fun ( (seed, cores, num_buses, total_width, d_max, p_max),
+           (time, nodes, pivots, warm, cold, refactors, cuts, fixed) ) ->
+      let problem =
+        rnd_problem ~seed ~cores ~num_buses ~total_width ~d_max ~p_max ()
+      in
+      let r = Ilp.solve problem in
+      let st = r.Ilp.stats in
+      let name = Printf.sprintf "rnd:%d:%d" seed cores in
+      Alcotest.(check bool) (name ^ " optimal") true r.Ilp.optimal;
+      Alcotest.(check (option int)) (name ^ " test time") (Some time)
+        (Option.map snd r.Ilp.solution);
+      Alcotest.(check (list int))
+        (name ^ " nodes/pivots/warm/cold/refactorizations/cuts/fixed")
+        [ nodes; pivots; warm; cold; refactors; cuts; fixed ]
+        [ st.Ilp.bb_nodes;
+          st.Ilp.lp_pivots;
+          st.Ilp.warm_starts;
+          st.Ilp.cold_solves;
+          st.Ilp.refactorizations;
+          st.Ilp.cuts_added;
+          st.Ilp.presolve_fixed ])
+    [ ((654433233, 6, 2, 12, 2.56, 185.0), (14616, 101, 340, 100, 1, 101, 0, 2));
+      ( (57411906, 6, 3, 8, 2.89, 1039.3),
+        (4240785, 73, 1100, 60, 13, 86, 6, 3) );
+      ((637489711, 4, 2, 8, 3.83, 1030.0), (822739, 45, 97, 44, 1, 45, 0, 4)) ]
+
 let suite =
   [ Alcotest.test_case "matches exact on S1" `Slow test_matches_exact_s1;
     Alcotest.test_case "matches exact constrained" `Quick
@@ -118,6 +206,10 @@ let suite =
       test_no_incumbent_agrees;
     Alcotest.test_case "model shape" `Quick test_model_shape;
     Alcotest.test_case "solutions verified" `Quick test_solutions_verified;
+    Alcotest.test_case "seeded search falls back to its seed" `Quick
+      test_seed_fallback;
+    Alcotest.test_case "node-LP counters tripwire" `Quick
+      test_node_lp_tripwire;
     QCheck_alcotest.to_alcotest prop_ilp_matches_exact_random ]
 
 (* --- assignment-only sub-problem (P1) --- *)

@@ -602,10 +602,19 @@ let test_row_json_round_trip () =
   match Sweep.cells soc ~num_buses:2 ~widths:[ 16 ] with
   | [ cell ] ->
       let row = Sweep.solve_one cell in
-      (match Sweep.row_of_json (Sweep.json_of_row row) with
-      | Ok row' ->
-          Alcotest.(check bool) "round trip" true (row = row')
-      | Error msg -> Alcotest.failf "round trip failed: %s" msg);
+      (* A MILP seed-fallback row carries one extra field; every other
+         row keeps its bytes. *)
+      let fallback = { row with Sweep.optimal = false; seed_fallback = true } in
+      List.iter
+        (fun row ->
+          match Sweep.row_of_json (Sweep.json_of_row row) with
+          | Ok row' -> Alcotest.(check bool) "round trip" true (row = row')
+          | Error msg -> Alcotest.failf "round trip failed: %s" msg)
+        [ row; fallback ];
+      Alcotest.(check bool) "flag only on fallback rows" true
+        (Json.member "seed_fallback" (Sweep.json_of_row row) = None
+        && Json.member "seed_fallback" (Sweep.json_of_row fallback)
+           = Some (Json.Bool true));
       (match Sweep.row_of_json (Json.Str "nonsense") with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "non-object accepted")
