@@ -364,6 +364,7 @@ let solve_cmd =
         | _ -> assert false
       in
       with_observability ~trace ~profile @@ fun () ->
+      let propagated = ref 0 in
       let row =
         match solver with
         | Sweep.Race | Sweep.Pack _ ->
@@ -373,7 +374,11 @@ let solve_cmd =
               Pool.with_pool ~num_domains:jobs (fun pool ->
                   Sweep.solve_one ~race_pool:pool ~deadline_s cell)
             else Sweep.solve_one ~deadline_s cell
-        | _ -> Sweep.solve_one cell
+        | _ ->
+            Sweep.solve_one
+              ~on_ilp_stats:(fun st ->
+                propagated := st.Ilp.propagated_nodes)
+              cell
       in
       (match solver with
       | Sweep.Ilp _ ->
@@ -388,13 +393,14 @@ let solve_cmd =
               Printf.printf "ILP seed: greedy incumbent primed B&B at %d\n" b
           | None -> ());
           Printf.printf
-            "ILP search: %d nodes, %d LP pivots (%d warm-started, %d \
-             cold, %d refactorizations), depth %d, %.3f s\n\
+            "ILP search: %d nodes (%d closed by propagation), %d LP \
+             pivots (%d warm-started, %d cold, %d refactorizations), \
+             depth %d, %.3f s\n\
              ILP model: %d clique rows, %d variables presolved away\n"
-            row.Sweep.nodes row.Sweep.lp_pivots row.Sweep.warm_starts
-            row.Sweep.cold_solves row.Sweep.refactorizations
-            row.Sweep.max_depth row.Sweep.elapsed_s row.Sweep.cuts_added
-            row.Sweep.presolve_fixed
+            row.Sweep.nodes !propagated row.Sweep.lp_pivots
+            row.Sweep.warm_starts row.Sweep.cold_solves
+            row.Sweep.refactorizations row.Sweep.max_depth
+            row.Sweep.elapsed_s row.Sweep.cuts_added row.Sweep.presolve_fixed
       | Sweep.Race ->
           if not row.Sweep.optimal then
             print_endline

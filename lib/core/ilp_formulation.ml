@@ -20,6 +20,7 @@ type solve_stats = {
   refactorizations : int;
   dropped_nodes : int;
   cancelled_nodes : int;
+  propagated_nodes : int;
   seeded_bound : int option;
   seed_fallback : bool;
   cuts_added : int;
@@ -259,6 +260,19 @@ let effective_time_limit ?time_limit_s ?deadline_s ~start () =
         | None -> remaining
         | Some l -> Float.min l remaining)
 
+(* Branch-and-bound work of a solve that never searched. *)
+let zero_bb_stats =
+  { Branch_bound.nodes = 0;
+    lp_pivots = 0;
+    max_depth = 0;
+    warm_starts = 0;
+    cold_solves = 0;
+    refactorizations = 0;
+    dropped_nodes = 0;
+    cancelled_nodes = 0;
+    propagated_nodes = 0;
+    elapsed_s = 0.0 }
+
 (* Root pipeline: the presolve reduction plus bounded-round clique-cut
    separation that runs between [build] and branch and bound. *)
 type root_pipeline = {
@@ -403,22 +417,12 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
       refactorizations = stats.Branch_bound.refactorizations;
       dropped_nodes = stats.Branch_bound.dropped_nodes;
       cancelled_nodes = stats.Branch_bound.cancelled_nodes;
+      propagated_nodes = stats.Branch_bound.propagated_nodes;
       seeded_bound = !seeded_bound;
       seed_fallback = false;
       cuts_added = rp_cuts;
       presolve_fixed = rp_fixed;
       elapsed_s = Clock.elapsed_s ~since:start }
-  in
-  let zero_bb_stats =
-    { Branch_bound.nodes = 0;
-      lp_pivots = 0;
-      max_depth = 0;
-      warm_starts = 0;
-      cold_solves = 0;
-      refactorizations = 0;
-      dropped_nodes = 0;
-      cancelled_nodes = 0;
-      elapsed_s = 0.0 }
   in
   match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
   | Error _msg ->
@@ -609,6 +613,7 @@ let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
       refactorizations = stats.Branch_bound.refactorizations;
       dropped_nodes = stats.Branch_bound.dropped_nodes;
       cancelled_nodes = stats.Branch_bound.cancelled_nodes;
+      propagated_nodes = stats.Branch_bound.propagated_nodes;
       seeded_bound = None;
       seed_fallback = false;
       cuts_added = rp_cuts;
@@ -618,17 +623,6 @@ let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
   match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
   | Error _msg ->
       Obs.incr "ilp.presolve_infeasible";
-      let zero_bb_stats =
-        { Branch_bound.nodes = 0;
-          lp_pivots = 0;
-          max_depth = 0;
-          warm_starts = 0;
-          cold_solves = 0;
-          refactorizations = 0;
-          dropped_nodes = 0;
-          cancelled_nodes = 0;
-          elapsed_s = 0.0 }
-      in
       { solution = None;
         optimal = true;
         stats =

@@ -48,6 +48,9 @@ type solve_stats = {
   cancelled_nodes : int;
       (** Nodes still unexplored when a racing caller's [should_stop]
           fired — search effort a portfolio winner saved this solve. *)
+  propagated_nodes : int;
+      (** Nodes closed by domain propagation before their LP (counted
+          in [bb_nodes] too). *)
   seeded_bound : int option;
       (** Test time of the heuristic incumbent that primed the search
           ([None] when seeding was disabled, found nothing, or the

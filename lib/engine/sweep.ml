@@ -101,7 +101,7 @@ let build_memos cells =
       (soc, model, Memo.build ~model soc ~max_width:!widest))
     !groups
 
-let solve_cell ?deadline_s ?race_pool ?on_event memos cell =
+let solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell =
   let memo =
     match
       List.find_opt
@@ -150,6 +150,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event memos cell =
           Ilp.solve ?time_limit_s ?deadline_s ~presolve ~cuts
             ~seed_incumbent:seed problem
         in
+        Option.iter (fun f -> f r.Ilp.stats) on_ilp_stats;
         { blank with
           solution = r.Ilp.solution;
           optimal = r.Ilp.optimal;
@@ -207,7 +208,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event memos cell =
       "sweep.cell" cell_sp;
   { row with elapsed_s = Clock.elapsed_s ~since:start }
 
-let solve_one ?deadline_s ?race_pool ?on_event ?memo cell =
+let solve_one ?deadline_s ?race_pool ?on_event ?on_ilp_stats ?memo cell =
   let memos =
     match memo with
     | Some memo
@@ -217,7 +218,7 @@ let solve_one ?deadline_s ?race_pool ?on_event ?memo cell =
         [ (cell.soc, cell.time_model, memo) ]
     | Some _ | None -> build_memos [ cell ]
   in
-  solve_cell ?deadline_s ?race_pool ?on_event memos cell
+  solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell
 
 let run ?pool ?deadline_s ?on_event cells =
   let memos = Obs.span "sweep.build_memos" (fun () -> build_memos cells) in

@@ -123,12 +123,15 @@ val cells :
     sizes and run to completion. [race_pool] lets a [Race] cell run its
     engines concurrently ([tamopt solve --solver race --jobs N]); it
     must not be a pool this call is itself a task of. [on_event]
-    streams a [Race] cell's improving incumbents.
+    streams a [Race] cell's improving incumbents. [on_ilp_stats]
+    receives an [Ilp] cell's full MILP statistics, counters the row
+    does not carry included.
     This is the daemon's per-request entry point. *)
 val solve_one :
   ?deadline_s:float ->
   ?race_pool:Pool.t ->
   ?on_event:(Race.event -> unit) ->
+  ?on_ilp_stats:(Soctam_core.Ilp_formulation.solve_stats -> unit) ->
   ?memo:Soctam_soc.Memo.t ->
   cell ->
   row

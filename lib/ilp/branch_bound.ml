@@ -10,6 +10,7 @@ type stats = {
   refactorizations : int;
   dropped_nodes : int;
   cancelled_nodes : int;
+  propagated_nodes : int;
   elapsed_s : float;
 }
 
@@ -106,6 +107,256 @@ let most_fractional ~int_tol ~priority int_vars (point : float array) =
   done;
   if !best < 0 then None else Some !best
 
+(* Node domain propagation. Before a non-root node's LP, the box given
+   by the model bounds and the node's overrides is tightened from the
+   activity bounds of every row, plus a cutoff row for the objective;
+   when a domain empties, no point of the node satisfies every row and
+   the node is closed without its LP. The tightened bounds only decide
+   closing: they never reach the simplex. Float error may only weaken a
+   proof: each implied bound carries slack sized by the row's
+   tolerance, and a row is violated only beyond that tolerance. *)
+module Propagate = struct
+  type t = {
+    nrows : int;  (** Model rows, then the objective-cutoff row. *)
+    row_start : int array;  (** CSR row pointers, length [nrows + 1]. *)
+    row_col : int array;
+    row_coef : float array;
+    rhs : float array;  (** The cutoff row's entry is set per node. *)
+    sense : Model.sense array;
+    col_start : int array;  (** Rows of each variable, CSC-style. *)
+    col_row : int array;
+    integer : bool array;
+    lb0 : float array;
+    ub0 : float array;
+    obj_const : float;  (** Objective constant, minimization space. *)
+    lb : float array;  (** Scratch box of the node being propagated. *)
+    ub : float array;
+    queue : int array;  (** Ring buffer; a row is queued at most once. *)
+    queued : Bytes.t;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  (* Row visits allowed per node, as a multiple of the row count. *)
+  let visits_per_row = 8
+
+  let create model =
+    let nvars = Model.num_vars model in
+    let constrs = Model.constrs model in
+    let m = Array.length constrs in
+    let nrows = m + 1 in
+    let direction, obj = Model.objective model in
+    let sign =
+      match direction with Model.Minimize -> 1.0 | Model.Maximize -> -1.0
+    in
+    let row_start = Array.make (nrows + 1) 0 in
+    Array.iteri
+      (fun r (c : Model.constr) ->
+        row_start.(r + 1) <- row_start.(r) + Lin_expr.size c.expr)
+      constrs;
+    row_start.(nrows) <- row_start.(m) + Lin_expr.size obj;
+    let nnz = row_start.(nrows) in
+    let row_col = Array.make nnz 0 and row_coef = Array.make nnz 0.0 in
+    let fill r sign expr =
+      let k = ref row_start.(r) in
+      Lin_expr.iter_terms
+        (fun v a ->
+          row_col.(!k) <- v;
+          row_coef.(!k) <- sign *. a;
+          incr k)
+        expr
+    in
+    Array.iteri (fun r (c : Model.constr) -> fill r 1.0 c.expr) constrs;
+    fill m sign obj;
+    let sense =
+      Array.init nrows (fun r ->
+          if r = m then Model.Le else constrs.(r).Model.sense)
+    in
+    let rhs =
+      Array.init nrows (fun r ->
+          if r = m then infinity else constrs.(r).Model.rhs)
+    in
+    let col_start = Array.make (nvars + 1) 0 in
+    Array.iter (fun v -> col_start.(v + 1) <- col_start.(v + 1) + 1) row_col;
+    for v = 0 to nvars - 1 do
+      col_start.(v + 1) <- col_start.(v + 1) + col_start.(v)
+    done;
+    let col_row = Array.make nnz 0 in
+    let next = Array.sub col_start 0 nvars in
+    for r = 0 to nrows - 1 do
+      for k = row_start.(r) to row_start.(r + 1) - 1 do
+        let v = row_col.(k) in
+        col_row.(next.(v)) <- r;
+        next.(v) <- next.(v) + 1
+      done
+    done;
+    let info = Array.init nvars (Model.var_info model) in
+    { nrows;
+      row_start;
+      row_col;
+      row_coef;
+      rhs;
+      sense;
+      col_start;
+      col_row;
+      integer = Array.map (fun i -> i.Model.kind <> Model.Continuous) info;
+      lb0 = Array.map (fun i -> i.Model.lb) info;
+      ub0 = Array.map (fun i -> i.Model.ub) info;
+      obj_const = sign *. Lin_expr.constant obj;
+      lb = Array.make nvars 0.0;
+      ub = Array.make nvars 0.0;
+      queue = Array.make nrows 0;
+      queued = Bytes.make nrows '\000';
+      head = 0;
+      len = 0 }
+
+  (* The cutoff row reads [objective <= cutoff]; [infinity] disables it. *)
+  let[@inline] set_cutoff p cutoff =
+    p.rhs.(p.nrows - 1) <- cutoff -. p.obj_const
+
+  let push p r =
+    if Bytes.get p.queued r = '\000' then begin
+      Bytes.set p.queued r '\001';
+      p.queue.((p.head + p.len) mod p.nrows) <- r;
+      p.len <- p.len + 1
+    end
+
+  let pop p =
+    let r = p.queue.(p.head) in
+    p.head <- (p.head + 1) mod p.nrows;
+    p.len <- p.len - 1;
+    Bytes.set p.queued r '\000';
+    r
+
+  let push_rows_of p v =
+    for k = p.col_start.(v) to p.col_start.(v + 1) - 1 do
+      push p p.col_row.(k)
+    done
+
+  (* Intersect the model box with the overrides and queue the rows of
+     every overridden variable; [true] when an override empties a box. *)
+  let rec install p = function
+    | [] -> false
+    | (v, l, u) :: rest ->
+        if l > p.lb.(v) then p.lb.(v) <- l;
+        if u < p.ub.(v) then p.ub.(v) <- u;
+        push_rows_of p v;
+        p.lb.(v) > p.ub.(v) || install p rest
+
+  (* [closes p overrides] propagates the node with [overrides] over the
+     model rows and the cutoff row (see [set_cutoff]). [true] means a
+     domain emptied. At most [visits_per_row * nrows] row visits; no
+     allocation. *)
+  let closes p overrides =
+    let nvars = Array.length p.lb in
+    Array.blit p.lb0 0 p.lb 0 nvars;
+    Array.blit p.ub0 0 p.ub 0 nvars;
+    let cutoff_row = p.nrows - 1 in
+    if p.rhs.(cutoff_row) < infinity then push p cutoff_row;
+    let closed = ref (install p overrides) in
+    let visits = ref (visits_per_row * p.nrows) in
+    while (not !closed) && p.len > 0 && !visits > 0 do
+      decr visits;
+      let r = pop p in
+      let b = p.rhs.(r) in
+      let first = p.row_start.(r) and last = p.row_start.(r + 1) - 1 in
+      (* Activity bounds: finite parts, infinite-term counts and the
+         magnitude sums that scale the row's tolerance. *)
+      let min_act = ref 0.0 and max_act = ref 0.0 in
+      let min_abs = ref 0.0 and max_abs = ref 0.0 in
+      let min_inf = ref 0 and max_inf = ref 0 in
+      for k = first to last do
+        let a = p.row_coef.(k) and v = p.row_col.(k) in
+        let lo = if a > 0.0 then p.lb.(v) else p.ub.(v) in
+        let hi = if a > 0.0 then p.ub.(v) else p.lb.(v) in
+        if Float.abs lo < infinity then begin
+          min_act := !min_act +. (a *. lo);
+          min_abs := !min_abs +. Float.abs (a *. lo)
+        end
+        else incr min_inf;
+        if Float.abs hi < infinity then begin
+          max_act := !max_act +. (a *. hi);
+          max_abs := !max_abs +. Float.abs (a *. hi)
+        end
+        else incr max_inf
+      done;
+      let base_tol = 1e-6 *. (1.0 +. Float.abs b) in
+      let min_tol = base_tol +. (1e-9 *. !min_abs) in
+      let max_tol = base_tol +. (1e-9 *. !max_abs) in
+      (* The upper side (Le, Eq) tightens from the minimum activity, the
+         lower side (Ge, Eq) from the maximum; a side is usable while at
+         most one of its terms is infinite. *)
+      let finite_rhs = Float.abs b < infinity in
+      let upper, lower =
+        match p.sense.(r) with
+        | Model.Le -> (finite_rhs && !min_inf <= 1, false)
+        | Model.Ge -> (false, finite_rhs && !max_inf <= 1)
+        | Model.Eq ->
+            (finite_rhs && !min_inf <= 1, finite_rhs && !max_inf <= 1)
+      in
+      if (upper && !min_inf = 0 && !min_act -. b > min_tol)
+         || (lower && !max_inf = 0 && b -. !max_act > max_tol)
+      then closed := true;
+      let k = ref first in
+      while (upper || lower) && (not !closed) && !k <= last do
+        let a = p.row_coef.(!k) and v = p.row_col.(!k) in
+        incr k;
+        (* The bounds the activities saw: this visit changes a
+           variable's bounds only when it reaches its own term. *)
+        let l = p.lb.(v) and u = p.ub.(v) in
+        let new_lb = ref neg_infinity and new_ub = ref infinity in
+        if upper then begin
+          let lo = if a > 0.0 then l else u in
+          let finite = Float.abs lo < infinity in
+          if finite = (!min_inf = 0) then begin
+            let rest = if finite then !min_act -. (a *. lo) else !min_act in
+            let cap = (b -. rest) /. a in
+            let slack =
+              (1e-9 *. (1.0 +. Float.abs cap)) +. (min_tol /. Float.abs a)
+            in
+            if a > 0.0 then new_ub := cap +. slack else new_lb := cap -. slack
+          end
+        end;
+        if lower then begin
+          let hi = if a > 0.0 then u else l in
+          let finite = Float.abs hi < infinity in
+          if finite = (!max_inf = 0) then begin
+            let rest = if finite then !max_act -. (a *. hi) else !max_act in
+            let cap = (b -. rest) /. a in
+            let slack =
+              (1e-9 *. (1.0 +. Float.abs cap)) +. (max_tol /. Float.abs a)
+            in
+            if a > 0.0 then begin
+              if cap -. slack > !new_lb then new_lb := cap -. slack
+            end
+            else if cap +. slack < !new_ub then new_ub := cap +. slack
+          end
+        end;
+        if p.integer.(v) then begin
+          new_ub := Float.floor (!new_ub +. 1e-6);
+          new_lb := Float.ceil (!new_lb -. 1e-6)
+        end;
+        (* Accept only a tightening beyond float noise. *)
+        let changed = ref false in
+        if u -. !new_ub > 1e-6 *. (1.0 +. Float.abs !new_ub) then begin
+          p.ub.(v) <- !new_ub;
+          changed := true
+        end;
+        if !new_lb -. l > 1e-6 *. (1.0 +. Float.abs !new_lb) then begin
+          p.lb.(v) <- !new_lb;
+          changed := true
+        end;
+        if !changed then
+          if p.lb.(v) > p.ub.(v) then closed := true else push_rows_of p v
+      done
+    done;
+    (* Clear the queue for the next node. *)
+    while p.len > 0 do
+      ignore (pop p)
+    done;
+    !closed
+end
+
 let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
     ?(integral_objective = false) ?incumbent ?shared ?on_incumbent
     ?should_stop ?(branch_priority = fun _ -> 0) ?(int_tol = 1e-6) model =
@@ -131,12 +382,16 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
   let pivots = ref 0 in
   let dropped = ref 0 in
   let cancelled = ref 0 in
+  let propagated = ref 0 in
   let max_depth = ref 0 in
   let best_point = ref None in
   let best_score =
     ref (match incumbent with Some v -> to_min v | None -> infinity)
   in
   let saw_unbounded = ref false in
+  (* Built at the first non-root node: a search settled at the root
+     never pays for the row copy. *)
+  let prop = lazy (Propagate.create model) in
   let prune_bound score =
     (* Tighten an LP bound before comparing with the incumbent. The slack
        must scale with the bound's magnitude: simplex tolerances are
@@ -156,6 +411,7 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
       refactorizations = Simplex.Incremental.refactorizations lp;
       dropped_nodes = !dropped;
       cancelled_nodes = !cancelled;
+      propagated_nodes = !propagated;
       elapsed_s = Clock.elapsed_s ~since:start }
   in
   Heap.push heap { overrides = []; depth = 0; bound = neg_infinity; parent = None };
@@ -211,6 +467,26 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
           if Obs.enabled () then Simplex.Incremental.warm_starts lp else 0
         in
         let outcome = ref "" in
+        let closed =
+          node.depth > 0
+          && begin
+               let p = Lazy.force prop in
+               (* The cutoff row keeps the objective strictly below the
+                  incumbent: under [integral_objective], at most the
+                  largest integer below it. *)
+               Propagate.set_cutoff p
+                 (if integral_objective then
+                    Float.ceil (!best_score -. 1e-9) -. 1.0
+                  else !best_score);
+               Propagate.closes p node.overrides
+             end
+        in
+        if closed then begin
+          outcome := "propagated";
+          Obs.incr "bb.prune.propagated";
+          incr propagated
+        end
+        else
         (match
            Simplex.Incremental.solve ?basis:node.parent
              ~bound_overrides:node.overrides lp
@@ -246,12 +522,17 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
               with
               | None ->
                   (* Integral: new incumbent. Snap integer variables to
-                     exact integers before storing. *)
+                     exact integers before storing, and an integral
+                     objective to its integer value, so float noise in
+                     the LP score cannot pass for an improvement. *)
                   outcome := "integral";
                   let snapped = Array.copy point in
                   List.iter
                     (fun v -> snapped.(v) <- Float.round snapped.(v))
                     int_vars;
+                  let score =
+                    if integral_objective then Float.round score else score
+                  in
                   if score < !best_score then begin
                     Obs.incr "bb.incumbent";
                     best_score := score;
@@ -282,8 +563,9 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
             ~args:
               [ ("depth", string_of_int node.depth);
                 ( "lp",
-                  if Simplex.Incremental.warm_starts lp > warm_before then
-                    "warm"
+                  if closed then "none"
+                  else if Simplex.Incremental.warm_starts lp > warm_before
+                  then "warm"
                   else "cold" );
                 ("outcome", !outcome) ]
             "bb.node" node_sp

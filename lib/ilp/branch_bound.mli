@@ -9,7 +9,25 @@
     to prune early. When [integral_objective] is set, LP bounds are
     rounded towards the objective's integrality, which tightens pruning
     for models whose optimum value is known to be integral (such as
-    makespans of integer task times). *)
+    makespans of integer task times), and integral incumbents are
+    stored at their integer value.
+
+    Every non-root node is first put through domain propagation, from
+    the model bounds plus the node's overrides: each row (Le, Ge or Eq,
+    coefficients of either sign) tightens its variables from its
+    activity bounds, and Integer and Binary bounds are rounded inwards.
+    One more row bounds the objective (in minimization space, its
+    constant included) by the incumbent: [objective <= incumbent - 1]
+    under [integral_objective], [objective <= incumbent] otherwise, and
+    no row while there is no incumbent. When a domain empties, the node
+    is closed without its LP; it still counts in [nodes] and is counted
+    in [propagated_nodes]. Propagation only closes nodes: a node it
+    does not close gets its LP with exactly the branching overrides and
+    parent basis it would get without propagation. Float error can only
+    weaken it — implied bounds carry slack sized by the row's tolerance,
+    and a row is violated only beyond [1e-6 (1 + |rhs|)] plus [1e-9] of
+    its activity's magnitude. Each node's propagation is capped at
+    8 visits per row, and allocates nothing. *)
 
 type stats = {
   nodes : int;  (** Branch-and-bound nodes processed. *)
@@ -26,6 +44,9 @@ type stats = {
   cancelled_nodes : int;
       (** Nodes still on the heap when [should_stop] fired — work a
           racing winner saved this solver. Zero unless cancelled. *)
+  propagated_nodes : int;
+      (** Nodes closed by domain propagation without their LP; counted
+          in [nodes] too. *)
   elapsed_s : float;  (** Wall-clock time spent in [solve]. *)
 }
 

@@ -1,6 +1,7 @@
 module Model = Soctam_ilp.Model
 module Lin_expr = Soctam_ilp.Lin_expr
 module Branch_bound = Soctam_ilp.Branch_bound
+module Simplex = Soctam_ilp.Simplex
 
 let optimal = function
   | Branch_bound.Optimal { point; objective; _ } -> (point, objective)
@@ -129,6 +130,146 @@ let test_warm_start_stats () =
         stats.Branch_bound.dropped_nodes
   | _ -> Alcotest.fail "expected optimal"
 
+(* min 10v + 100x - y  s.t.  2x + 2y + 3v = 5,  y <= 2.2,
+   x, y in 0..10, v binary. The root LP is v = 0.2, y = 2.2; branching
+   on v first, the child v = 0 has the feasible LP x = 0.3, y = 2.2 but
+   no integer point (2x + 2y = 5 has none), which propagation proves by
+   rounding x and y down to a contradiction. The optimum v = 1, y = 1
+   costs 9. *)
+let test_propagation_closes_child () =
+  let m = Model.create () in
+  let int_var name =
+    Model.add_var m ~name ~kind:Model.Integer ~lb:0.0 ~ub:10.0
+  in
+  let x = int_var "x" and y = int_var "y" in
+  let v = Model.add_binary m ~name:"v" in
+  Model.add_constr m ~name:"parity"
+    (Lin_expr.of_terms [ (x, 2.0); (y, 2.0); (v, 3.0) ])
+    Model.Eq 5.0;
+  Model.add_constr m ~name:"cap" (Lin_expr.var y) Model.Le 2.2;
+  Model.set_objective m Model.Minimize
+    (Lin_expr.of_terms [ (v, 10.0); (x, 100.0); (y, -1.0) ]);
+  (match Simplex.solve ~bound_overrides:[ (v, 0.0, 0.0) ] m with
+  | Simplex.Optimal _ -> ()
+  | _ -> Alcotest.fail "the v = 0 child's LP should be feasible");
+  let branch_priority u = if u = v then 1 else 0 in
+  match Branch_bound.solve ~branch_priority m with
+  | Branch_bound.Optimal { point; objective; stats } ->
+      Alcotest.(check (float 1e-6)) "optimum" 9.0 objective;
+      Alcotest.(check (list (float 1e-6))) "point" [ 0.0; 1.0; 1.0 ]
+        (Array.to_list point);
+      Alcotest.(check int) "nodes" 3 stats.Branch_bound.nodes;
+      Alcotest.(check int) "closed by propagation" 1
+        stats.Branch_bound.propagated_nodes;
+      Alcotest.(check int) "LPs solved" 2
+        (stats.Branch_bound.warm_starts + stats.Branch_bound.cold_solves)
+  | _ -> Alcotest.fail "expected optimal"
+
+(* Brute force over the box 0..3 of a pure-integer model: the best
+   objective in the model's direction, or None when no point fits. *)
+let brute_force ~nvars ~rows ~obj ~obj_const ~maximize =
+  let best = ref None in
+  let x = Array.make nvars 0 in
+  let dot coeffs =
+    let acc = ref 0 in
+    Array.iteri (fun i c -> acc := !acc + (c * x.(i))) coeffs;
+    !acc
+  in
+  let rec loop i =
+    if i = nvars then begin
+      let fits (coeffs, sense, rhs) =
+        let lhs = dot coeffs in
+        match sense with
+        | Model.Le -> lhs <= rhs
+        | Model.Ge -> lhs >= rhs
+        | Model.Eq -> lhs = rhs
+      in
+      if List.for_all fits rows then begin
+        let value = dot obj + obj_const in
+        match !best with
+        | Some b when (if maximize then b >= value else b <= value) -> ()
+        | _ -> best := Some value
+      end
+    end
+    else
+      for value = 0 to 3 do
+        x.(i) <- value;
+        loop (i + 1)
+      done
+  in
+  loop 0;
+  !best
+
+let prop_random_multirow_program =
+  (* Several rows of either sign and every sense, an objective constant
+     and both directions: the propagator's sign, sense and cutoff
+     branches, checked against enumeration. *)
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* nvars = 2 -- 4 in
+      let coeffs = array_size (return nvars) (-5 -- 5) in
+      let* rows =
+        list_size (2 -- 4)
+          (triple coeffs (oneofl [ Model.Le; Model.Ge; Model.Eq ]) (-10 -- 10))
+      in
+      let* obj = coeffs in
+      let* obj_const = -10 -- 10 in
+      let* maximize = bool in
+      let* integral = bool in
+      return (nvars, rows, obj, obj_const, maximize, integral))
+  in
+  let print (nvars, rows, obj, obj_const, maximize, integral) =
+    let arr a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+    Printf.sprintf "vars %d, %s [%s] + %d%s; rows: %s" nvars
+      (if maximize then "max" else "min")
+      (arr obj) obj_const
+      (if integral then ", integral" else "")
+      (String.concat "; "
+         (List.map
+            (fun (c, sense, rhs) ->
+              let op =
+                match sense with
+                | Model.Le -> "<="
+                | Model.Ge -> ">="
+                | Model.Eq -> "="
+              in
+              Printf.sprintf "[%s] %s %d" (arr c) op rhs)
+            rows))
+  in
+  QCheck.Test.make ~name:"random multi-row IP matches brute force" ~count:300
+    (QCheck.make ~print gen)
+    (fun (nvars, rows, obj, obj_const, maximize, integral) ->
+      let m = Model.create () in
+      let xs =
+        Array.init nvars (fun i ->
+            Model.add_var m ~name:(Printf.sprintf "x%d" i) ~kind:Model.Integer
+              ~lb:0.0 ~ub:3.0)
+      in
+      let expr coeffs =
+        Lin_expr.of_terms
+          (List.mapi
+             (fun i c -> (xs.(i), float_of_int c))
+             (Array.to_list coeffs))
+      in
+      List.iteri
+        (fun r (coeffs, sense, rhs) ->
+          Model.add_constr m ~name:(Printf.sprintf "r%d" r) (expr coeffs) sense
+            (float_of_int rhs))
+        rows;
+      Model.set_objective m
+        (if maximize then Model.Maximize else Model.Minimize)
+        (Lin_expr.add (expr obj) (Lin_expr.const (float_of_int obj_const)));
+      let expected = brute_force ~nvars ~rows ~obj ~obj_const ~maximize in
+      match (Branch_bound.solve ~integral_objective:integral m, expected) with
+      | Branch_bound.Optimal { objective; point; _ }, Some best ->
+          (match Model.check_point ~tol:1e-5 m point with
+          | Ok () -> ()
+          | Error msg -> QCheck.Test.fail_reportf "bad point: %s" msg);
+          Float.abs (objective -. float_of_int best) < 1e-6
+      | Branch_bound.Infeasible _, None -> true
+      | _ -> false)
+
 let prop_random_knapsack =
   let open QCheck in
   let gen =
@@ -216,5 +357,8 @@ let suite =
     Alcotest.test_case "dropped nodes downgrade result" `Quick
       test_dropped_nodes_downgrade;
     Alcotest.test_case "warm-start statistics" `Quick test_warm_start_stats;
+    Alcotest.test_case "propagation closes an integer-empty child" `Quick
+      test_propagation_closes_child;
     QCheck_alcotest.to_alcotest prop_random_knapsack;
-    QCheck_alcotest.to_alcotest prop_random_integer_program ]
+    QCheck_alcotest.to_alcotest prop_random_integer_program;
+    QCheck_alcotest.to_alcotest prop_random_multirow_program ]

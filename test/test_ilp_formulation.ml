@@ -9,6 +9,7 @@ module Floorplan = Soctam_layout.Floorplan
 module Conflicts = Soctam_layout.Conflicts
 module Power_conflicts = Soctam_power.Power_conflicts
 module Test_time = Soctam_soc.Test_time
+module Obs = Soctam_obs.Obs
 
 let s1 = Benchmarks.s1 ()
 
@@ -156,14 +157,39 @@ let test_seed_fallback () =
   Alcotest.(check bool) "no fallback unseeded" false
     cold.Ilp.stats.Ilp.seed_fallback
 
-(* Tripwire for the node-LP arithmetic: three MILP benchmark-pool
+(* Integral incumbents are stored at their integer value. On this
+   instance two integral nodes both score 401439, the second about 1e-7
+   lower in floating point; a float incumbent would count the second as
+   an improvement. *)
+let test_integral_incumbent_once () =
+  let problem =
+    rnd_problem ~seed:250387757 ~cores:6 ~num_buses:3 ~total_width:8
+      ~d_max:2.45 ~p_max:727.4 ()
+  in
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable (fun () -> Ilp.solve problem) in
+  let _, metrics = Obs.drain () in
+  let incumbents =
+    List.fold_left
+      (fun acc (m : Obs.metric) ->
+        if m.name = "bb.incumbent" then acc + m.count else acc)
+      0 metrics
+  in
+  Alcotest.(check (option int)) "test time" (Some 401439)
+    (Option.map snd r.Ilp.solution);
+  Alcotest.(check bool) "optimal" true r.Ilp.optimal;
+  Alcotest.(check int) "one incumbent" 1 incumbents
+
+(* Tripwire for the search and its node LPs: three MILP benchmark-pool
    instances solved as the daemon solves them (seeded, presolve and
    cuts on), with their exact work counters. The sparse kernels in
    [Simplex] skip only exact-zero terms and keep the order of the rest,
-   so these counts are a fingerprint of the LP arithmetic: if a change
-   moves any of them, it changed pivots, and the 21,000-candidate MILP
-   screen ([perfbench/bench.exe --screen-ilp 0:21000]) must be rerun
-   against [perfbench/known_bad.ml]. *)
+   and domain propagation closes nodes before their LP, so these counts
+   fingerprint both the branch-and-bound search (which nodes get an LP)
+   and the LP arithmetic (how each LP pivots). If a change moves any of
+   them, the 21,000-candidate MILP screen
+   ([perfbench/bench.exe --screen-ilp 0:21000]) must be rerun against
+   [perfbench/known_bad.ml]. *)
 let test_node_lp_tripwire () =
   List.iter
     (fun ( (seed, cores, num_buses, total_width, d_max, p_max),
@@ -187,10 +213,10 @@ let test_node_lp_tripwire () =
           st.Ilp.refactorizations;
           st.Ilp.cuts_added;
           st.Ilp.presolve_fixed ])
-    [ ((654433233, 6, 2, 12, 2.56, 185.0), (14616, 101, 340, 100, 1, 101, 0, 2));
+    [ ((654433233, 6, 2, 12, 2.56, 185.0), (14616, 33, 106, 17, 1, 18, 0, 2));
       ( (57411906, 6, 3, 8, 2.89, 1039.3),
-        (4240785, 73, 1100, 60, 13, 86, 6, 3) );
-      ((637489711, 4, 2, 8, 3.83, 1030.0), (822739, 45, 97, 44, 1, 45, 0, 4)) ]
+        (4240785, 51, 367, 26, 4, 34, 6, 3) );
+      ((637489711, 4, 2, 8, 3.83, 1030.0), (822739, 17, 43, 8, 1, 9, 0, 4)) ]
 
 let suite =
   [ Alcotest.test_case "matches exact on S1" `Slow test_matches_exact_s1;
@@ -210,6 +236,8 @@ let suite =
       test_seed_fallback;
     Alcotest.test_case "node-LP counters tripwire" `Quick
       test_node_lp_tripwire;
+    Alcotest.test_case "integral incumbent stored once" `Quick
+      test_integral_incumbent_once;
     QCheck_alcotest.to_alcotest prop_ilp_matches_exact_random ]
 
 (* --- assignment-only sub-problem (P1) --- *)
