@@ -1519,10 +1519,8 @@ type race_measurement = {
   rm_best_single : string;
   rm_best_single_s : float;
   rm_race_seq_s : float;
-  rm_race_par_s : float;
   rm_winner : string;
   rm_incumbents : int;
-  rm_cancelled : int;
   rm_nodes_seeded : int;
   rm_nodes_unseeded : int;
   rm_constrained : bool;
@@ -1533,20 +1531,19 @@ let e11_measurements : race_measurement list ref = ref []
 
 let table_e11 () =
   section "E11"
-    (Printf.sprintf
-       "anytime portfolio racing: %d-domain race vs the best single \
-        certifying engine" jobs);
+    "anytime portfolio racing: the race vs the best single certifying \
+     engine";
   (* E8's constrained instances (the conflict triangle gives the
      complete engines real pruning work) plus one free S2 cell whose
      branch-and-bound hits a bound plateau — the instance where the
      heuristic seed provably prunes frontier nodes the unseeded search
      must explore before it finds its first incumbent. The race is
-     compared against each engine it contains running alone; only the
-     complete engines (exact enumeration, the MILP) certify, so they
-     define "best single". The MILP is also re-run unseeded to isolate
-     what the greedy incumbent saves branch and bound. All node counts
-     are deterministic (no time limits), so the seeded-vs-unseeded
-     relation recorded here is reproducible bit-for-bit in CI. *)
+     compared against each complete engine running alone (exact
+     enumeration, the MILP): they certify, so they define "best
+     single". The MILP is also re-run unseeded to isolate what the
+     greedy incumbent saves branch and bound. All node counts are
+     deterministic (no time limits), so the seeded-vs-unseeded relation
+     recorded here is reproducible bit-for-bit in CI. *)
   let constrained =
     { Problem.exclusion_pairs = [ (0, 1); (0, 2); (1, 2) ];
       co_pairs = [ (3, 4) ] }
@@ -1563,69 +1560,53 @@ let table_e11 () =
     Sweep.Ilp { time_limit_s = None; presolve = true; cuts = true; seed }
   in
   let measurements =
-    Pool.with_pool ~num_domains:jobs (fun pool ->
-        List.concat_map
-          (fun (soc, num_buses, widths, constraints) ->
-            let cell solver w =
-              List.hd
-                (Sweep.cells ~constraints ~solver soc ~num_buses
-                   ~widths:[ w ])
+    List.concat_map
+      (fun (soc, num_buses, widths, constraints) ->
+        let cell solver w =
+          List.hd
+            (Sweep.cells ~constraints ~solver soc ~num_buses ~widths:[ w ])
+        in
+        List.map
+          (fun w ->
+            let time ?on_event solver =
+              let t0 = Clock.now_s () in
+              let row = Sweep.solve_one ?on_event (cell solver w) in
+              (row, Clock.elapsed_s ~since:t0)
             in
-            List.map
-              (fun w ->
-                let time solver =
-                  let t0 = Clock.now_s () in
-                  let row = Sweep.solve_one (cell solver w) in
-                  (row, Clock.elapsed_s ~since:t0)
-                in
-                let exact_row, exact_s = time Sweep.Exact in
-                let ilp_row, ilp_s = time (ilp true) in
-                let unseeded_row, _ = time (ilp false) in
-                let incumbents = ref 0 in
-                let t0 = Clock.now_s () in
-                let seq_row =
-                  Sweep.solve_one
-                    ~on_event:(fun _ -> incr incumbents)
-                    (cell Sweep.Race w)
-                in
-                let race_seq_s = Clock.elapsed_s ~since:t0 in
-                let t1 = Clock.now_s () in
-                let par_row =
-                  Sweep.solve_one ~race_pool:pool (cell Sweep.Race w)
-                in
-                let race_par_s = Clock.elapsed_s ~since:t1 in
-                let best_single, best_single_s =
-                  if exact_s <= ilp_s then ("exact", exact_s)
-                  else ("ilp", ilp_s)
-                in
-                let t (row : Sweep.row) = Option.map snd row.Sweep.solution in
-                let identical =
-                  t seq_row = t exact_row
-                  && t par_row = t exact_row
-                  && t ilp_row = t exact_row
-                  && t unseeded_row = t exact_row
-                  && seq_row.Sweep.optimal && par_row.Sweep.optimal
-                in
-                { rm_soc = Soc.name soc;
-                  rm_num_buses = num_buses;
-                  rm_width = w;
-                  rm_test_time = t exact_row;
-                  rm_exact_s = exact_s;
-                  rm_ilp_s = ilp_s;
-                  rm_best_single = best_single;
-                  rm_best_single_s = best_single_s;
-                  rm_race_seq_s = race_seq_s;
-                  rm_race_par_s = race_par_s;
-                  rm_winner =
-                    Option.value ~default:"-" par_row.Sweep.winner;
-                  rm_incumbents = !incumbents;
-                  rm_cancelled = par_row.Sweep.cancelled_nodes;
-                  rm_nodes_seeded = ilp_row.Sweep.nodes;
-                  rm_nodes_unseeded = unseeded_row.Sweep.nodes;
-                  rm_constrained = constraints <> Problem.no_constraints;
-                  rm_identical = identical })
-              widths)
-          workloads)
+            let exact_row, exact_s = time Sweep.Exact in
+            let ilp_row, ilp_s = time (ilp true) in
+            let unseeded_row, _ = time (ilp false) in
+            let incumbents = ref 0 in
+            let race_row, race_s =
+              time ~on_event:(fun _ -> incr incumbents) Sweep.Race
+            in
+            let best_single, best_single_s =
+              if exact_s <= ilp_s then ("exact", exact_s) else ("ilp", ilp_s)
+            in
+            let t (row : Sweep.row) = Option.map snd row.Sweep.solution in
+            let identical =
+              t race_row = t exact_row
+              && t ilp_row = t exact_row
+              && t unseeded_row = t exact_row
+              && race_row.Sweep.optimal
+            in
+            { rm_soc = Soc.name soc;
+              rm_num_buses = num_buses;
+              rm_width = w;
+              rm_test_time = t exact_row;
+              rm_exact_s = exact_s;
+              rm_ilp_s = ilp_s;
+              rm_best_single = best_single;
+              rm_best_single_s = best_single_s;
+              rm_race_seq_s = race_s;
+              rm_winner = Option.value ~default:"-" race_row.Sweep.winner;
+              rm_incumbents = !incumbents;
+              rm_nodes_seeded = ilp_row.Sweep.nodes;
+              rm_nodes_unseeded = unseeded_row.Sweep.nodes;
+              rm_constrained = constraints <> Problem.no_constraints;
+              rm_identical = identical })
+          widths)
+      workloads
   in
   e11_measurements := measurements;
   let rows =
@@ -1640,10 +1621,8 @@ let table_e11 () =
           Table.fmt_float ~decimals:3 m.rm_exact_s;
           Table.fmt_float ~decimals:3 m.rm_ilp_s;
           Table.fmt_float ~decimals:3 m.rm_race_seq_s;
-          Table.fmt_float ~decimals:3 m.rm_race_par_s;
           m.rm_winner;
           string_of_int m.rm_incumbents;
-          string_of_int m.rm_cancelled;
           string_of_int m.rm_nodes_seeded;
           string_of_int m.rm_nodes_unseeded;
           (if m.rm_identical then "yes" else "NO") ])
@@ -1652,12 +1631,11 @@ let table_e11 () =
   print_string
     (Table.render
        ~headers:
-         [ "soc"; "nb"; "W"; "T_opt"; "exact s"; "ilp s"; "race seq";
-           "race par"; "winner"; "incumb"; "cancelled"; "nodes seed";
-           "nodes free"; "identical" ]
+         [ "soc"; "nb"; "W"; "T_opt"; "exact s"; "ilp s"; "race s";
+           "winner"; "incumb"; "nodes seed"; "nodes free"; "identical" ]
        rows);
-  let par_total =
-    List.fold_left (fun a m -> a +. m.rm_race_par_s) 0.0 measurements
+  let race_total =
+    List.fold_left (fun a m -> a +. m.rm_race_seq_s) 0.0 measurements
   in
   let best_total =
     List.fold_left (fun a m -> a +. m.rm_best_single_s) 0.0 measurements
@@ -1669,11 +1647,11 @@ let table_e11 () =
     List.fold_left (fun a m -> a + m.rm_nodes_unseeded) 0 measurements
   in
   Printf.printf
-    "\nrace summary: %.3f s racing on %d domain(s) vs %.3f s for the best \
-     single certifying engine (+%.1f ms fixed portfolio overhead); seeded \
-     MILP explored %d nodes vs %d unseeded (%d saved)\n"
-    par_total jobs best_total
-    ((par_total -. best_total) *. 1000.)
+    "\nrace summary: %.3f s racing vs %.3f s for the best single \
+     certifying engine (+%.1f ms fixed portfolio overhead); seeded MILP \
+     explored %d nodes vs %d unseeded (%d saved)\n"
+    race_total best_total
+    ((race_total -. best_total) *. 1000.)
     seeded unseeded (unseeded - seeded);
   if List.exists (fun m -> not m.rm_identical) measurements then
     print_endline "!! race certified a value the single engines disagree with";
@@ -1782,7 +1760,6 @@ type pack_measurement = {
   pm_nodes : int;
   pm_bound_applies : bool;
   pm_pack_le_partition : bool;
-  pm_jobs_identical : bool;
   pm_exact_s : float;
   pm_pack_s : float;
 }
@@ -1808,78 +1785,69 @@ let table_e13 () =
         (Benchmarks.random ~seed:5 ~num_cores:4 (), 2, [ 6 ], true) ]
   in
   let measurements =
-    Pool.with_pool ~num_domains:jobs (fun pool ->
-        List.concat_map
-          (fun (soc, num_buses, widths, envelope) ->
-            List.map
-              (fun w ->
-                let problem = Problem.make soc ~num_buses ~total_width:w in
-                let p_max_mw =
-                  if envelope then
-                    Some (Pack.effective_budget problem ~p_max_mw:0.0 *. 1.3)
-                  else None
-                in
-                let t0 = Clock.now_s () in
-                let exact_row =
-                  Sweep.solve_one
-                    (List.hd
-                       (Sweep.cells soc ~num_buses ~widths:[ w ]))
-                in
-                let exact_s = Clock.elapsed_s ~since:t0 in
-                let partition_t =
-                  Option.map snd exact_row.Sweep.solution
-                in
-                let incumbents = ref 0 in
-                let t1 = Clock.now_s () in
-                let seq =
-                  Race.solve_pack ?p_max_mw
-                    ~on_event:(fun _ -> incr incumbents)
-                    problem
-                in
-                let pack_s = Clock.elapsed_s ~since:t1 in
-                let par = Race.solve_pack ?p_max_mw ~pool problem in
-                let t_of (r : Race.pack_result) =
-                  Option.map
-                    (fun (p : Rect_sched.t) -> p.Rect_sched.makespan)
-                    r.Race.packing
-                in
-                let bound_applies =
-                  match exact_row.Sweep.solution with
-                  | None -> false
-                  | Some (arch, _) -> (
-                      match
-                        Pack.validate ?p_max_mw problem
-                          (Rect_sched.of_architecture problem arch)
-                      with
-                      | Ok () -> true
-                      | Error _ -> false)
-                in
-                let pack_le_partition =
-                  match (t_of seq, partition_t) with
-                  | Some p, Some t -> (not bound_applies) || p <= t
-                  | _ -> false
-                in
-                { pm_soc = Soc.name soc;
-                  pm_num_buses = num_buses;
-                  pm_width = w;
-                  pm_p_max = p_max_mw;
-                  pm_partition_t = partition_t;
-                  pm_pack_t = t_of seq;
-                  pm_lb = seq.Race.lower_bound;
-                  pm_winner = Option.value ~default:"-" seq.Race.winner;
-                  pm_certificate =
-                    Option.value ~default:"-" seq.Race.certificate;
-                  pm_incumbents = !incumbents;
-                  pm_nodes = seq.Race.nodes;
-                  pm_bound_applies = bound_applies;
-                  pm_pack_le_partition = pack_le_partition;
-                  pm_jobs_identical =
-                    t_of seq = t_of par
-                    && seq.Race.optimal = par.Race.optimal;
-                  pm_exact_s = exact_s;
-                  pm_pack_s = pack_s })
-              widths)
-          workloads)
+    List.concat_map
+      (fun (soc, num_buses, widths, envelope) ->
+        List.map
+          (fun w ->
+            let problem = Problem.make soc ~num_buses ~total_width:w in
+            let p_max_mw =
+              if envelope then
+                Some (Pack.effective_budget problem ~p_max_mw:0.0 *. 1.3)
+              else None
+            in
+            let t0 = Clock.now_s () in
+            let exact_row =
+              Sweep.solve_one
+                (List.hd (Sweep.cells soc ~num_buses ~widths:[ w ]))
+            in
+            let exact_s = Clock.elapsed_s ~since:t0 in
+            let partition_t = Option.map snd exact_row.Sweep.solution in
+            let incumbents = ref 0 in
+            let t1 = Clock.now_s () in
+            let r =
+              Race.solve_pack ?p_max_mw
+                ~on_event:(fun _ -> incr incumbents)
+                problem
+            in
+            let pack_s = Clock.elapsed_s ~since:t1 in
+            let pack_t =
+              Option.map
+                (fun (p : Rect_sched.t) -> p.Rect_sched.makespan)
+                r.Race.packing
+            in
+            let bound_applies =
+              match exact_row.Sweep.solution with
+              | None -> false
+              | Some (arch, _) -> (
+                  match
+                    Pack.validate ?p_max_mw problem
+                      (Rect_sched.of_architecture problem arch)
+                  with
+                  | Ok () -> true
+                  | Error _ -> false)
+            in
+            let pack_le_partition =
+              match (pack_t, partition_t) with
+              | Some p, Some t -> (not bound_applies) || p <= t
+              | _ -> false
+            in
+            { pm_soc = Soc.name soc;
+              pm_num_buses = num_buses;
+              pm_width = w;
+              pm_p_max = p_max_mw;
+              pm_partition_t = partition_t;
+              pm_pack_t = pack_t;
+              pm_lb = r.Race.lower_bound;
+              pm_winner = Option.value ~default:"-" r.Race.winner;
+              pm_certificate = Option.value ~default:"-" r.Race.certificate;
+              pm_incumbents = !incumbents;
+              pm_nodes = r.Race.nodes;
+              pm_bound_applies = bound_applies;
+              pm_pack_le_partition = pack_le_partition;
+              pm_exact_s = exact_s;
+              pm_pack_s = pack_s })
+          widths)
+      workloads
   in
   e13_measurements := measurements;
   let rows =
@@ -1898,15 +1866,14 @@ let table_e13 () =
           m.pm_certificate;
           string_of_int m.pm_incumbents;
           string_of_int m.pm_nodes;
-          (if m.pm_pack_le_partition then "yes" else "NO");
-          (if m.pm_jobs_identical then "yes" else "NO") ])
+          (if m.pm_pack_le_partition then "yes" else "NO") ])
       measurements
   in
   print_string
     (Table.render
        ~headers:
          [ "soc"; "nb"; "W"; "p_max"; "T_part"; "T_pack"; "lb"; "winner";
-           "cert"; "incumb"; "nodes"; "pack<=part"; "jobs=" ]
+           "cert"; "incumb"; "nodes"; "pack<=part" ]
        rows);
   let saved =
     List.fold_left
@@ -1922,9 +1889,7 @@ let table_e13 () =
     saved (List.length measurements)
     (List.fold_left (fun a m -> a + m.pm_nodes) 0 measurements);
   if List.exists (fun m -> not m.pm_pack_le_partition) measurements then
-    print_endline "!! a packing lost to the partition optimum it subsumes";
-  if List.exists (fun m -> not m.pm_jobs_identical) measurements then
-    print_endline "!! pack race verdict depends on the job count"
+    print_endline "!! a packing lost to the partition optimum it subsumes"
 
 let service_json_path = flag_value "--service-json"
 
@@ -2071,10 +2036,8 @@ let write_json path =
                              ("best_single", Json.Str m.rm_best_single);
                              ("best_single_s", Json.Num m.rm_best_single_s);
                              ("race_seq_s", Json.Num m.rm_race_seq_s);
-                             ("race_par_s", Json.Num m.rm_race_par_s);
                              ("winner", Json.Str m.rm_winner);
                              ("incumbents", Json.int m.rm_incumbents);
-                             ("cancelled_nodes", Json.int m.rm_cancelled);
                              ( "ilp_nodes_seeded",
                                Json.int m.rm_nodes_seeded );
                              ( "ilp_nodes_unseeded",
@@ -2082,13 +2045,11 @@ let write_json path =
                              ("constrained", Json.Bool m.rm_constrained);
                              ("identical", Json.Bool m.rm_identical) ])
                        ms) );
-                ("race_par_total_s", Json.Num (sum_f (fun m -> m.rm_race_par_s)));
                 ("race_seq_total_s", Json.Num (sum_f (fun m -> m.rm_race_seq_s)));
                 ( "best_single_total_s",
                   Json.Num (sum_f (fun m -> m.rm_best_single_s)) );
                 ( "winners",
                   Json.Obj (List.map (fun (k, n) -> (k, Json.int n)) winners) );
-                ("cancelled_nodes", Json.int (sum_i (fun m -> m.rm_cancelled)));
                 ( "ilp_nodes_seeded",
                   Json.int (sum_i (fun m -> m.rm_nodes_seeded)) );
                 ( "ilp_nodes_unseeded",
@@ -2144,15 +2105,12 @@ let write_json path =
                              ("bound_applies", Json.Bool m.pm_bound_applies);
                              ( "pack_le_partition",
                                Json.Bool m.pm_pack_le_partition );
-                             ("jobs_identical", Json.Bool m.pm_jobs_identical);
                              ("exact_s", Json.Num m.pm_exact_s);
                              ("pack_s", Json.Num m.pm_pack_s) ])
                        ms) );
                 ( "pack_le_partition_all",
                   Json.Bool (List.for_all (fun m -> m.pm_pack_le_partition) ms)
                 );
-                ( "jobs_identical_all",
-                  Json.Bool (List.for_all (fun m -> m.pm_jobs_identical) ms) );
                 ( "certified",
                   Json.int
                     (List.length

@@ -240,7 +240,8 @@ let p_max_arg =
 let solver_arg =
   let doc =
     "Solver: exact (enumeration+DP), ilp, heuristic, race (anytime \
-     portfolio of all of them against a shared incumbent), or pack \
+     portfolio against a shared incumbent: packing bound, budgeted DP \
+     probe, greedy, annealing, then DP to the end), or pack \
      (rectangle packing: every core picks its own width, tests are \
      scheduled on the wire strip; --p-max additionally bounds the \
      instantaneous power of the packed schedule)."
@@ -252,7 +253,11 @@ let gantt_arg =
   Arg.(value & flag & info [ "gantt" ] ~doc)
 
 let time_limit_arg =
-  let doc = "ILP time limit in seconds." in
+  let doc =
+    "Time limit in seconds: the ILP's search budget, and the deadline \
+     of the race and pack solvers, which then answer with their best \
+     incumbent, uncertified."
+  in
   Arg.(value & opt float 60.0 & info [ "time-limit" ] ~docv:"S" ~doc)
 
 let trace_arg =
@@ -343,7 +348,7 @@ let solve_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let run soc_name num_buses total_width model d_max p_max solver gantt
-      time_limit no_presolve no_cuts no_seed jobs trace profile json_path =
+      time_limit no_presolve no_cuts no_seed trace profile json_path =
     try
       let soc = lookup_soc soc_name in
       let problem =
@@ -368,12 +373,7 @@ let solve_cmd =
       let row =
         match solver with
         | Sweep.Race | Sweep.Pack _ ->
-            let deadline_s = Clock.now_s () +. time_limit in
-            let jobs = resolve_jobs jobs in
-            if jobs > 1 then
-              Pool.with_pool ~num_domains:jobs (fun pool ->
-                  Sweep.solve_one ~race_pool:pool ~deadline_s cell)
-            else Sweep.solve_one ~deadline_s cell
+            Sweep.solve_one ~deadline_s:(Clock.now_s () +. time_limit) cell
         | _ ->
             Sweep.solve_one
               ~on_ilp_stats:(fun st ->
@@ -405,12 +405,9 @@ let solve_cmd =
           if not row.Sweep.optimal then
             print_endline
               "note: race deadline expired; best incumbent shown";
-          Printf.printf
-            "Race: winner %s, %d nodes, %d LP pivots, %d B&B nodes \
-             cancelled, %.3f s\n"
+          Printf.printf "Race: winner %s, %d nodes, %.3f s\n"
             (match row.Sweep.winner with Some w -> w | None -> "none")
-            row.Sweep.nodes row.Sweep.lp_pivots row.Sweep.cancelled_nodes
-            row.Sweep.elapsed_s
+            row.Sweep.nodes row.Sweep.elapsed_s
       | Sweep.Pack _ ->
           if not row.Sweep.optimal then
             print_endline
@@ -441,8 +438,8 @@ let solve_cmd =
     Term.(
       const run $ soc_arg $ buses_arg $ width_arg $ model_arg $ d_max_arg
       $ p_max_arg $ solver_arg $ gantt_arg $ time_limit_arg
-      $ no_presolve_arg $ no_cuts_arg $ no_seed_arg $ jobs_arg $ trace_arg
-      $ profile_arg $ json_arg)
+      $ no_presolve_arg $ no_cuts_arg $ no_seed_arg $ trace_arg $ profile_arg
+      $ json_arg)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Design one optimal test access architecture.")

@@ -311,34 +311,28 @@ let check ?(fault = No_fault) ?(presolve = true) ?(cuts = true)
     end
   in
   (* race_matches_exact *)
-  (* The sequential portfolio (no pool, no deadline) must certify the
-     exact optimum and return a verified architecture. Width is capped
-     like the other MILP properties — the portfolio includes the ILP
-     engine. *)
+  (* The portfolio (no deadline) must certify the exact optimum and
+     return a verified architecture. *)
   let* () =
-    if Problem.total_width problem > ilp_width_cap then Ok ()
-    else begin
-      let race = Race.solve problem in
-      if not race.Race.optimal then
-        fail "race_matches_exact" "race returned without a certificate"
-      else
-        match exact_time, race.Race.solution with
-        | None, None -> Ok ()
-        | Some t, None ->
-            fail "race_matches_exact" "race infeasible but exact found T=%d" t
-        | None, Some (_, t') ->
-            fail "race_matches_exact"
-              "race found T=%d on an exact-infeasible instance" t'
-        | Some t, Some (arch, t') ->
-            if t' <> t then
-              fail "race_matches_exact" "race T=%d but exact T=%d" t' t
-            else (
-              match Verify.check problem arch ~claimed_time:t' with
-              | Ok () -> Ok ()
-              | Error msg ->
-                  fail "race_matches_exact" "race architecture rejected: %s"
-                    msg)
-    end
+    let race = Race.solve problem in
+    if not race.Race.optimal then
+      fail "race_matches_exact" "race returned without a certificate"
+    else
+      match exact_time, race.Race.solution with
+      | None, None -> Ok ()
+      | Some t, None ->
+          fail "race_matches_exact" "race infeasible but exact found T=%d" t
+      | None, Some (_, t') ->
+          fail "race_matches_exact"
+            "race found T=%d on an exact-infeasible instance" t'
+      | Some t, Some (arch, t') ->
+          if t' <> t then
+            fail "race_matches_exact" "race T=%d but exact T=%d" t' t
+          else (
+            match Verify.check problem arch ~claimed_time:t' with
+            | Ok () -> Ok ()
+            | Error msg ->
+                fail "race_matches_exact" "race architecture rejected: %s" msg)
   in
   (* pack_bounds *)
   (* The rectangle-packing family against the partition optimum. The

@@ -42,9 +42,8 @@
       run without presolve and cuts — the plain pipeline was then
       already exercised by [ilp_matches_exact]);
     - [race_matches_exact] — the {!Soctam_engine.Race} portfolio,
-      raced sequentially with no deadline, certifies the exact
-      optimum and its re-derived architecture verifies (skipped above
-      {!ilp_width_cap}: the ILP engine is in the portfolio);
+      raced with no deadline, certifies the exact optimum and its
+      re-derived architecture verifies;
     - [pack_bounds] — the {!Soctam_pack.Pack} rectangle-packing family
       sandwiches: every packing validates (no overlap, co-pairs
       serialized, envelope respected, also through the

@@ -19,7 +19,6 @@ type solve_stats = {
   cold_solves : int;
   refactorizations : int;
   dropped_nodes : int;
-  cancelled_nodes : int;
   propagated_nodes : int;
   seeded_bound : int option;
   seed_fallback : bool;
@@ -66,13 +65,12 @@ let add_exclusion_rows model x ~n ~nb ~cuts exclusion_pairs =
         done)
       exclusion_pairs
 
-(* Clique rows of size >= 3 installed by a clique-cover build: the
-   build-time contribution to the [cuts_added] stat. *)
-let cover_cuts ~n ~nb exclusion_pairs =
+(* Rows of size >= 3 that a clique [cover] installs over [nb] buses:
+   the build-time contribution to the [cuts_added] stat. *)
+let cover_rows ~nb cover =
   List.fold_left
     (fun acc c -> match c with _ :: _ :: _ :: _ -> acc + nb | _ -> acc)
-    0
-    (Cuts.edge_cover_cliques ~n exclusion_pairs)
+    0 cover
 
 let build ?(formulation = Big_m) ?(symmetry_breaking = true) ?(cuts = false)
     problem =
@@ -269,9 +267,35 @@ let zero_bb_stats =
     cold_solves = 0;
     refactorizations = 0;
     dropped_nodes = 0;
-    cancelled_nodes = 0;
     propagated_nodes = 0;
     elapsed_s = 0.0 }
+
+(* The statistics of a solve of [model] begun at [start]: [stats] is
+   its branch-and-bound work, and the root pipeline adds its clique
+   rows [cuts], eliminated variables [fixed] and separation pivots. *)
+let mk_stats model ~start ?seeded_bound ?(cuts = 0) ?(fixed = 0)
+    ?(sep_pivots = 0) (stats : Branch_bound.stats) =
+  { variables = Model.num_vars model;
+    constraints = Model.num_constrs model;
+    bb_nodes = stats.Branch_bound.nodes;
+    lp_pivots = stats.Branch_bound.lp_pivots + sep_pivots;
+    max_depth = stats.Branch_bound.max_depth;
+    warm_starts = stats.Branch_bound.warm_starts;
+    cold_solves = stats.Branch_bound.cold_solves;
+    refactorizations = stats.Branch_bound.refactorizations;
+    dropped_nodes = stats.Branch_bound.dropped_nodes;
+    propagated_nodes = stats.Branch_bound.propagated_nodes;
+    seeded_bound;
+    seed_fallback = false;
+    cuts_added = cuts;
+    presolve_fixed = fixed;
+    elapsed_s = Clock.elapsed_s ~since:start }
+
+(* The statistics of a solve the presolve proved infeasible before any
+   search: the build's cover rows, and no other work. *)
+let presolve_infeasible_stats model ~start ~cuts ~n ~nb excl =
+  let cover = if cuts then Cuts.edge_cover_cliques ~n excl else [] in
+  mk_stats model ~start ~cuts:(cover_rows ~nb cover) zero_bb_stats
 
 (* Root pipeline: the presolve reduction plus bounded-round clique-cut
    separation that runs between [build] and branch and bound. *)
@@ -296,11 +320,6 @@ let cut_violation_tol = 1e-6
    compose without either knowing about the other. *)
 let strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model =
   let cover = if cuts then Cuts.edge_cover_cliques ~n excl else [] in
-  let base_cuts =
-    List.fold_left
-      (fun acc c -> match c with _ :: _ :: _ :: _ -> acc + nb | _ -> acc)
-      0 cover
-  in
   let pre =
     if presolve then
       match Obs.span "ilp.presolve" (fun () -> Presolve.reduce model) with
@@ -383,13 +402,13 @@ let strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model =
         { search_model;
           to_orig;
           remap;
-          root_cuts = base_cuts + !sep_cuts;
+          root_cuts = cover_rows ~nb cover + !sep_cuts;
           fixed;
           sep_pivots = !sep_pivots }
 
 let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
     ?(node_limit = 500_000) ?time_limit_s ?deadline_s ?(presolve = true)
-    ?(cuts = true) ?shared ?on_incumbent ?should_stop problem =
+    ?(cuts = true) problem =
  Obs.span "ilp.solve" @@ fun () ->
   let start = Clock.now_s () in
   let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
@@ -404,26 +423,6 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
   let num_x = n * nb in
   let branch_priority v = if v >= num_x then 1 else 0 in
   let excl = (Problem.constraints problem).Problem.exclusion_pairs in
-  let seeded_bound = ref None in
-  let mk_stats ?(rp_cuts = 0) ?(rp_fixed = 0) ?(sep_pivots = 0)
-      (stats : Branch_bound.stats) =
-    { variables = Model.num_vars model;
-      constraints = Model.num_constrs model;
-      bb_nodes = stats.Branch_bound.nodes;
-      lp_pivots = stats.Branch_bound.lp_pivots + sep_pivots;
-      max_depth = stats.Branch_bound.max_depth;
-      warm_starts = stats.Branch_bound.warm_starts;
-      cold_solves = stats.Branch_bound.cold_solves;
-      refactorizations = stats.Branch_bound.refactorizations;
-      dropped_nodes = stats.Branch_bound.dropped_nodes;
-      cancelled_nodes = stats.Branch_bound.cancelled_nodes;
-      propagated_nodes = stats.Branch_bound.propagated_nodes;
-      seeded_bound = !seeded_bound;
-      seed_fallback = false;
-      cuts_added = rp_cuts;
-      presolve_fixed = rp_fixed;
-      elapsed_s = Clock.elapsed_s ~since:start }
-  in
   match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
   | Error _msg ->
       (* The presolve proved the instance infeasible before any search:
@@ -431,10 +430,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
       Obs.incr "ilp.presolve_infeasible";
       { solution = None;
         optimal = true;
-        stats =
-          mk_stats
-            ~rp_cuts:(if cuts then cover_cuts ~n ~nb excl else 0)
-            zero_bb_stats }
+        stats = presolve_infeasible_stats model ~start ~cuts ~n ~nb excl }
   | Ok rp ->
       (* With the budget already exhausted (expired deadline) the answer
          is an immediate partial verdict; don't burn time computing a
@@ -447,40 +443,26 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
           Obs.span "ilp.incumbent" (fun () -> Heuristics.solve problem)
         else None
       in
+      let seeded_bound =
+        Option.map (fun { Heuristics.test_time; _ } -> test_time) seed
+      in
       (* Branch-and-bound prunes nodes whose bound reaches the
          incumbent, so pass a value one above the heuristic time to keep
          an equal-valued optimum reachable. *)
       let incumbent =
-        Option.map
-          (fun { Heuristics.test_time; _ } ->
-            seeded_bound := Some test_time;
-            float_of_int (test_time + 1))
-          seed
-      in
-      let shared =
-        Option.map
-          (fun read () -> Option.map float_of_int (read ()))
-          shared
-      in
-      let on_incumbent =
-        Option.map
-          (fun f point (_ : float) ->
-            let arch = decode problem x delta (rp.to_orig point) in
-            f (arch, Cost.test_time problem arch))
-          on_incumbent
+        Option.map (fun t -> float_of_int (t + 1)) seeded_bound
       in
       let outcome =
         Branch_bound.solve ~node_limit ?time_limit_s ~integral_objective:true
-          ?incumbent ?shared ?on_incumbent ?should_stop
-          ~branch_priority:(rp.remap branch_priority)
+          ?incumbent ~branch_priority:(rp.remap branch_priority)
           rp.search_model
       in
-      let finish ?(optimal = true) (stats : Branch_bound.stats) solution =
+      let finish ?(optimal = true) stats solution =
         { solution;
           optimal;
           stats =
-            mk_stats ~rp_cuts:rp.root_cuts ~rp_fixed:rp.fixed
-              ~sep_pivots:rp.sep_pivots stats }
+            mk_stats model ~start ?seeded_bound ~cuts:rp.root_cuts
+              ~fixed:rp.fixed ~sep_pivots:rp.sep_pivots stats }
       in
       (* Branch and bound ended without a point. A seeded search was cut
          off just above the seed's time, so it found nothing at or below
@@ -601,44 +583,22 @@ let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
     in
     Architecture.make ~widths ~assignment
   in
-  let mk_stats ?(rp_cuts = 0) ?(rp_fixed = 0) ?(sep_pivots = 0)
-      (stats : Branch_bound.stats) =
-    { variables = Model.num_vars model;
-      constraints = Model.num_constrs model;
-      bb_nodes = stats.Branch_bound.nodes;
-      lp_pivots = stats.Branch_bound.lp_pivots + sep_pivots;
-      max_depth = stats.Branch_bound.max_depth;
-      warm_starts = stats.Branch_bound.warm_starts;
-      cold_solves = stats.Branch_bound.cold_solves;
-      refactorizations = stats.Branch_bound.refactorizations;
-      dropped_nodes = stats.Branch_bound.dropped_nodes;
-      cancelled_nodes = stats.Branch_bound.cancelled_nodes;
-      propagated_nodes = stats.Branch_bound.propagated_nodes;
-      seeded_bound = None;
-      seed_fallback = false;
-      cuts_added = rp_cuts;
-      presolve_fixed = rp_fixed;
-      elapsed_s = Clock.elapsed_s ~since:start }
-  in
   match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
   | Error _msg ->
       Obs.incr "ilp.presolve_infeasible";
       { solution = None;
         optimal = true;
-        stats =
-          mk_stats
-            ~rp_cuts:(if cuts then cover_cuts ~n ~nb excl else 0)
-            zero_bb_stats }
+        stats = presolve_infeasible_stats model ~start ~cuts ~n ~nb excl }
   | Ok rp -> (
       let outcome =
         Branch_bound.solve ~node_limit ?time_limit_s ~integral_objective:true
           rp.search_model
       in
-      let finish ?(optimal = true) (stats : Branch_bound.stats) solution =
+      let finish ?(optimal = true) stats solution =
         { solution;
           optimal;
           stats =
-            mk_stats ~rp_cuts:rp.root_cuts ~rp_fixed:rp.fixed
+            mk_stats model ~start ~cuts:rp.root_cuts ~fixed:rp.fixed
               ~sep_pivots:rp.sep_pivots stats }
       in
       match outcome with

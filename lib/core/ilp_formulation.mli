@@ -45,9 +45,6 @@ type solve_stats = {
   dropped_nodes : int;
       (** Nodes abandoned on an LP pivot budget; nonzero forfeits the
           optimality claim ([optimal] is [false]). *)
-  cancelled_nodes : int;
-      (** Nodes still unexplored when a racing caller's [should_stop]
-          fired — search effort a portfolio winner saved this solve. *)
   propagated_nodes : int;
       (** Nodes closed by domain propagation before their LP (counted
           in [bb_nodes] too). *)
@@ -112,17 +109,7 @@ val build :
     [presolve] (default [true]) reduces the model before the search and
     postsolves the answer; [cuts] (default [true]) enables the clique
     cover plus root separation. Both are escape hatches for debugging
-    and differential testing — results are identical either way.
-
-    The racing hooks mirror {!Soctam_ilp.Branch_bound.solve}: [shared]
-    is re-read at every node entry and must only ever return test times
-    of known-feasible architectures (pruning against it is then sound);
-    under [?shared], unseeded, a [None] solution with [optimal = true]
-    means "no architecture strictly beats the tightest shared bound
-    observed", which certifies the shared incumbent — not
-    infeasibility.
-    [on_incumbent] fires with each new decoded incumbent architecture;
-    [should_stop] is polled at every node and LP pivot. *)
+    and differential testing — results are identical either way. *)
 val solve :
   ?formulation:formulation ->
   ?symmetry_breaking:bool ->
@@ -132,9 +119,6 @@ val solve :
   ?deadline_s:float ->
   ?presolve:bool ->
   ?cuts:bool ->
-  ?shared:(unit -> int option) ->
-  ?on_incumbent:(Architecture.t * int -> unit) ->
-  ?should_stop:(unit -> bool) ->
   Problem.t ->
   result
 

@@ -54,14 +54,6 @@ let create ?num_domains () =
 
 let num_domains t = t.num_domains
 
-module Cancel = struct
-  type token = bool Atomic.t
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let cancelled t = Atomic.get t
-end
-
 let map t ~f arr =
   let n = Array.length arr in
   if n = 0 then [||]
@@ -139,88 +131,6 @@ let map t ~f arr =
     | Some (_, e) -> raise e
     | None ->
         Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* [map], with a pre-flight cancellation check on every task. A task
-   observed after [cancel] leaves its slot [None] instead of running
-   [f] — the mechanism a finished race uses to keep stale queued engine
-   tasks from burning a domain. The check is before [f], not during:
-   in-flight tasks finish normally (engines carry their own
-   [should_stop] hooks for that). *)
-let map_cancellable t ~token ~f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if t.num_domains = 1 || n = 1 then begin
-    if t.stopped then invalid_arg "Pool.map_cancellable: pool shut down";
-    Array.map
-      (fun x ->
-        if Cancel.cancelled token then begin
-          Obs.incr "pool.cancelled_tasks";
-          None
-        end
-        else Some (f x))
-      arr
-  end
-  else begin
-    Mutex.lock t.mutex;
-    if t.stopped then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.map_cancellable: pool shut down"
-    end;
-    Mutex.unlock t.mutex;
-    let results = Array.make n None in
-    let remaining = ref n in
-    let first_error = ref None in
-    let task i =
-      let queued = Obs.start () in
-      fun () ->
-      Obs.finish "pool.queue_wait" queued;
-      (if Cancel.cancelled token then Obs.incr "pool.cancelled_tasks"
-       else
-         match Obs.span "pool.task" (fun () -> f arr.(i)) with
-         | v -> results.(i) <- Some v
-         | exception e ->
-             Mutex.lock t.mutex;
-             (match !first_error with
-             | Some (j, _) when j < i -> ()
-             | _ -> first_error := Some (i, e));
-             Mutex.unlock t.mutex);
-      Mutex.lock t.mutex;
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast t.batch_done;
-      Mutex.unlock t.mutex
-    in
-    for i = 0 to n - 1 do
-      Mutex.lock t.mutex;
-      while Queue.length t.queue >= t.capacity do
-        let pending = Queue.pop t.queue in
-        Mutex.unlock t.mutex;
-        pending ();
-        Mutex.lock t.mutex
-      done;
-      Queue.push (task i) t.queue;
-      Condition.signal t.not_empty;
-      Mutex.unlock t.mutex
-    done;
-    let rec help () =
-      Mutex.lock t.mutex;
-      if not (Queue.is_empty t.queue) then begin
-        let pending = Queue.pop t.queue in
-        Mutex.unlock t.mutex;
-        pending ();
-        help ()
-      end
-      else begin
-        while !remaining > 0 do
-          Condition.wait t.batch_done t.mutex
-        done;
-        Mutex.unlock t.mutex
-      end
-    in
-    help ();
-    match !first_error with
-    | Some (_, e) -> raise e
-    | None -> results
   end
 
 let submit t task =

@@ -26,22 +26,6 @@ val create : ?num_domains:int -> unit -> t
 (** Number of domains (including the caller) the pool schedules over. *)
 val num_domains : t -> int
 
-(** A cheap cancellation token: one atomic flag shared between the
-    party that decides a batch is moot (a race that has certified its
-    answer) and the pool workers that would otherwise keep executing
-    stale queued tasks. Cancelling is a pure store; checking is a pure
-    load — both safe from any domain, both O(1). *)
-module Cancel : sig
-  type token
-
-  val create : unit -> token
-
-  (** Flip the token; idempotent. Tasks not yet started stay unrun. *)
-  val cancel : token -> unit
-
-  val cancelled : token -> bool
-end
-
 (** [map t ~f arr] applies [f] to every element, in parallel across the
     pool's domains, and returns the results in input order. If any [f]
     raises, the batch still drains and the first exception (by task
@@ -50,17 +34,6 @@ end
     engine, not a nested scheduler).
     Raises [Invalid_argument] if the pool has been shut down. *)
 val map : t -> f:('a -> 'b) -> 'a array -> 'b array
-
-(** [map_cancellable t ~token ~f arr] is {!map}, except every task
-    checks [token] immediately before running [f]: tasks observed after
-    {!Cancel.cancel} are skipped and their slot is [None] (counted as
-    the [pool.cancelled_tasks] metric). Tasks already inside [f] when
-    the token flips run to completion — cooperative early exit is the
-    job of the engine's own stop hook. Exception propagation and
-    ordering match {!map}.
-    Raises [Invalid_argument] if the pool has been shut down. *)
-val map_cancellable :
-  t -> token:Cancel.token -> f:('a -> 'b) -> 'a array -> 'b option array
 
 (** [submit t task] enqueues one fire-and-forget task for the worker
     domains — the asynchronous complement to the batch-synchronous

@@ -2,7 +2,6 @@ module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
 module Exact = Soctam_core.Exact
 module Dp_assign = Soctam_core.Dp_assign
-module Ilp = Soctam_core.Ilp_formulation
 module Heuristics = Soctam_core.Heuristics
 module Annealing = Soctam_core.Annealing
 module Rect_sched = Soctam_sched.Rect_sched
@@ -17,21 +16,19 @@ type event = { test_time : int; engine : string; elapsed_ms : float }
 (* ------------------------------------------------------------------ *)
 
 (* Everything one race's engines share, over incumbents of type ['a]
-   scored by [cost]. The three protocol atomics hold the incumbent with
-   the engine that published it, the lower bound, and the certificate
-   with the engine that issued it; [stop] and [token] carry
-   cancellation. *)
+   scored by [cost]: the incumbent with the engine that published it,
+   the lower bound, and the certificate with the engine that issued it.
+   The engines run one after another on the caller's domain, so plain
+   mutable fields suffice. *)
 type 'a ctx = {
   cost : 'a -> int;
   start : float;
   deadline_s : float option;
-  cell : (string * 'a) option Atomic.t;
-  lb : int Atomic.t;
-  certificate : (string * string) option Atomic.t;
-  stop : bool Atomic.t;
-  token : Pool.Cancel.token;
-  published : int Atomic.t;
-  nodes : int Atomic.t;  (* search nodes of the family's complete engines *)
+  mutable cell : (string * 'a) option;
+  mutable lb : int;
+  mutable certificate : (string * string) option;
+  mutable published : int;
+  mutable nodes : int;  (* search nodes of the family's complete engines *)
   on_event : event -> unit;
 }
 
@@ -39,75 +36,59 @@ let create ?deadline_s ?(on_event = fun _ -> ()) cost =
   { cost;
     start = Clock.now_s ();
     deadline_s;
-    cell = Atomic.make None;
-    lb = Atomic.make min_int;
-    certificate = Atomic.make None;
-    stop = Atomic.make false;
-    token = Pool.Cancel.create ();
-    published = Atomic.make 0;
-    nodes = Atomic.make 0;
+    cell = None;
+    lb = min_int;
+    certificate = None;
+    published = 0;
+    nodes = 0;
     on_event }
 
 let should_stop ctx () =
-  Atomic.get ctx.stop
+  Option.is_some ctx.certificate
   ||
   match ctx.deadline_s with
   | Some d -> Clock.now_s () > d
   | None -> false
 
-let incumbent_cost ctx =
-  Option.map (fun (_, inc) -> ctx.cost inc) (Atomic.get ctx.cell)
+let incumbent_cost ctx = Option.map (fun (_, inc) -> ctx.cost inc) ctx.cell
 
-(* First certificate wins; losers are cancelled cooperatively (stop
-   flag, polled down to the simplex pivot level) and preemptively
-   (queued pool tasks never start). *)
+(* First certificate wins; every later engine is skipped, and the
+   running one stops at its next [should_stop] poll. *)
 let certify ctx engine cert =
-  if Atomic.compare_and_set ctx.certificate None (Some (engine, cert))
-  then begin
+  if Option.is_none ctx.certificate then begin
     Obs.incr ("race.winner." ^ engine);
-    Atomic.set ctx.stop true;
-    Pool.Cancel.cancel ctx.token
+    ctx.certificate <- Some (engine, cert)
   end
 
-(* Monotone max on the shared lower bound, then check whether the
-   current incumbent already meets it (a bound-match certificate). *)
-let rec raise_lb ctx engine bound =
-  let cur = Atomic.get ctx.lb in
-  if bound > cur && not (Atomic.compare_and_set ctx.lb cur bound) then
-    raise_lb ctx engine bound
-  else
-    match incumbent_cost ctx with
-    | Some t when t <= Atomic.get ctx.lb -> certify ctx engine "bound"
-    | _ -> ()
+(* Monotone max on the lower bound, then check whether the current
+   incumbent already meets it (a bound-match certificate). *)
+let raise_lb ctx engine bound =
+  if bound > ctx.lb then ctx.lb <- bound;
+  match incumbent_cost ctx with
+  | Some t when t <= ctx.lb -> certify ctx engine "bound"
+  | _ -> ()
 
-(* Publish a feasible incumbent. Strict improvement only, via CAS, so
-   the cell's cost is monotone non-increasing and every successful
-   publication is a genuinely improving event. *)
-let rec publish ctx engine incumbent =
+(* Publish a feasible incumbent. Strict improvement only, so the cell's
+   cost is monotone non-increasing and every publication is a genuinely
+   improving event. *)
+let publish ctx engine incumbent =
   let cost = ctx.cost incumbent in
-  let cur = Atomic.get ctx.cell in
-  match cur with
+  match ctx.cell with
   | Some (_, inc) when ctx.cost inc <= cost -> ()
   | _ ->
-      if Atomic.compare_and_set ctx.cell cur (Some (engine, incumbent)) then begin
-        Atomic.incr ctx.published;
-        Obs.incr "race.incumbent";
-        Obs.incr ("race.incumbent." ^ engine);
-        ctx.on_event
-          { test_time = cost;
-            engine;
-            elapsed_ms = 1000.0 *. Clock.elapsed_s ~since:ctx.start };
-        if cost <= Atomic.get ctx.lb then certify ctx engine "bound"
-      end
-      else publish ctx engine incumbent
+      ctx.cell <- Some (engine, incumbent);
+      ctx.published <- ctx.published + 1;
+      Obs.incr "race.incumbent";
+      Obs.incr ("race.incumbent." ^ engine);
+      ctx.on_event
+        { test_time = cost;
+          engine;
+          elapsed_ms = 1000.0 *. Clock.elapsed_s ~since:ctx.start };
+      if cost <= ctx.lb then certify ctx engine "bound"
 
-let add_nodes ctx n = ignore (Atomic.fetch_and_add ctx.nodes n : int)
+type engine = { name : string; run : unit -> unit }
 
-(* One racing engine. A [solo] engine runs only in a sequential race,
-   where going first lets it close the race before the others start. *)
-type engine = { name : string; solo : bool; run : unit -> unit }
-
-let engine ?(solo = false) name run = { name; solo; run }
+let engine name run = { name; run }
 
 type 'a verdict = {
   best : 'a option;
@@ -118,31 +99,26 @@ type 'a verdict = {
   elapsed_s : float;
 }
 
-(* Run [engines] to a verdict: all at once on a pool of more than one
-   domain (the caller joins the crew), otherwise one after another in
-   list order, each inheriting every bound published before it, until a
-   certificate or the deadline skips the rest. A certified incumbent is
-   replaced by [canonical]'s re-derivation at the certified cost, which
-   makes the answer a pure function of the instance: identical across
-   job counts and across which engine won the wall clock. Should the
-   re-derivation come back empty (a pathology guard ran out), the live
-   incumbent stands: still correct, merely not canonical. *)
-let race ?pool ctx ~span ~canonical engines =
+(* Run [engines] to a verdict, one after another in list order, each
+   inheriting every bound published before it, until a certificate or
+   the deadline skips the rest. A certified incumbent is replaced by
+   [canonical]'s re-derivation at the certified cost, which makes the
+   answer a pure function of the instance, whichever engine certified.
+   Should the re-derivation come back empty (a pathology guard ran
+   out), the live incumbent stands: still correct, merely not
+   canonical. *)
+let race ctx ~span ~canonical engines =
   let sp = Obs.start () in
-  let run e =
-    let sp = Obs.start () in
-    e.run ();
-    Obs.finish ~args:[ ("engine", e.name) ] "race.engine" sp
-  in
-  (match pool with
-  | Some pool when Pool.num_domains pool > 1 ->
-      ignore
-        (Pool.map_cancellable pool ~token:ctx.token ~f:run
-           (Array.of_list (List.filter (fun e -> not e.solo) engines)))
-  | Some _ | None ->
-      List.iter (fun e -> if not (should_stop ctx ()) then run e) engines);
+  List.iter
+    (fun e ->
+      if not (should_stop ctx ()) then begin
+        let sp = Obs.start () in
+        e.run ();
+        Obs.finish ~args:[ ("engine", e.name) ] "race.engine" sp
+      end)
+    engines;
   let best, optimal, winner, certificate =
-    match (Atomic.get ctx.certificate, Atomic.get ctx.cell) with
+    match (ctx.certificate, ctx.cell) with
     | Some (engine, cert), None ->
         (* A complete engine finished with an empty cell: proven
            infeasible. *)
@@ -156,7 +132,7 @@ let race ?pool ctx ~span ~canonical engines =
         (Some inc, false, Some source, None)
     | None, None -> (None, false, None, None)
   in
-  let incumbents = Atomic.get ctx.published in
+  let incumbents = ctx.published in
   Obs.finish
     ~args:
       [ ("winner", Option.value winner ~default:"none");
@@ -181,13 +157,6 @@ type result = {
   certificate : string option;
   incumbents : int;
   nodes : int;
-  lp_pivots : int;
-  warm_starts : int;
-  cold_solves : int;
-  refactorizations : int;
-  cuts_added : int;
-  presolve_fixed : int;
-  cancelled_nodes : int;
   elapsed_s : float;
 }
 
@@ -200,7 +169,7 @@ let run_pack ctx problem =
      so its area bound is a sound lower bound here too. It must stay
      bound-only in THIS race: a packing's makespan can undercut the
      partition optimum, and publishing it into the cell would make the
-     DP/ILP engines prune the true partition optimum away. The packing
+     DP engine prune the true partition optimum away. The packing
      family races for real in {!solve_pack}, against its own cell. *)
   raise_lb ctx "pack" bound
 
@@ -255,11 +224,11 @@ let dp_partitions ?node_budget ctx problem partitions from =
     end
   in
   let next = go from in
-  add_nodes ctx !nodes;
+  ctx.nodes <- ctx.nodes + !nodes;
   if next = n then certify ctx "dp" "dp";
   next
 
-(* Node budget of the sequential race's certify-first DP probe. The
+(* Node budget of the race's certify-first DP probe. The
    designer loop's races are small: on perfbench's store_churn (6-10
    cores) DP certified every one in 12-346 us, 160 nodes at the median
    and 6,144 at most, while greedy and annealing spent ~2.6 of the
@@ -284,25 +253,6 @@ let run_dp_probe ctx problem partitions =
     "race.probe" sp;
   next
 
-(* The MILP engine races with its internal seeding off: the greedy
-   engine already publishes to the cell, and the [?shared] hook folds
-   the cell into the branch-and-bound's pruning threshold at every node
-   entry. On an un-cancelled completion, [optimal = true] with no
-   solution means "nothing strictly beats the tightest shared bound
-   observed" — which certifies the cell. *)
-let run_ilp ctx problem =
-  let r =
-    Ilp.solve ~seed_incumbent:false
-      ~shared:(fun () -> incumbent_cost ctx)
-      ~on_incumbent:(publish ctx "ilp") ~should_stop:(should_stop ctx)
-      problem
-  in
-  if r.Ilp.optimal then begin
-    Option.iter (publish ctx "ilp") r.Ilp.solution;
-    certify ctx "ilp" "ilp"
-  end;
-  r.Ilp.stats
-
 (* The partition family's canonical re-derivation: one deterministic DP
    pass bounded just above [t_star]. The pass is cheap: the bound prunes
    all but near-optimal assignments. The cell only holds feasible
@@ -321,7 +271,7 @@ let canonical_architecture problem partitions t_star =
     partitions;
   !best
 
-let solve ?pool ?deadline_s ?on_event problem =
+let solve ?deadline_s ?on_event problem =
   let ctx = create ?deadline_s ?on_event snd in
   let partitions =
     Array.of_list
@@ -329,39 +279,26 @@ let solve ?pool ?deadline_s ?on_event problem =
          (Exact.width_partitions ~total:(Problem.total_width problem)
             ~parts:(Problem.num_buses problem)))
   in
-  let dp_next = ref 0 and ilp_stats = ref None in
-  (* Certify-first when sequential: the bound, then the budgeted DP
-     probe, which closes most designer-loop races outright; otherwise
-     DP resumes where the probe stopped, so no partition is solved
-     twice. *)
+  let dp_next = ref 0 in
+  (* Certify-first: the bound, then the budgeted DP probe, which closes
+     most designer-loop races outright; otherwise DP resumes where the
+     probe stopped, so no partition is solved twice. *)
   let v =
-    race ?pool ctx ~span:"race.solve"
+    race ctx ~span:"race.solve"
       ~canonical:(canonical_architecture problem partitions)
       [ engine "pack" (fun () -> run_pack ctx problem);
-        engine ~solo:true "dp" (fun () ->
-            dp_next := run_dp_probe ctx problem partitions);
+        engine "dp" (fun () -> dp_next := run_dp_probe ctx problem partitions);
         engine "greedy" (fun () -> run_greedy ctx problem);
         engine "anneal" (fun () -> run_anneal ctx problem);
         engine "dp" (fun () ->
-            ignore (dp_partitions ctx problem partitions !dp_next : int));
-        engine "ilp" (fun () -> ilp_stats := Some (run_ilp ctx problem)) ]
+            ignore (dp_partitions ctx problem partitions !dp_next : int)) ]
   in
-  let ilp f = match !ilp_stats with Some s -> f s | None -> 0 in
-  let cancelled_nodes = ilp (fun s -> s.Ilp.cancelled_nodes) in
-  if cancelled_nodes > 0 then Obs.incr ~n:cancelled_nodes "race.cancelled_nodes";
   { solution = v.best;
     optimal = v.optimal;
     winner = v.winner;
     certificate = v.certificate;
     incumbents = v.incumbents;
-    nodes = Atomic.get ctx.nodes + ilp (fun s -> s.Ilp.bb_nodes);
-    lp_pivots = ilp (fun s -> s.Ilp.lp_pivots);
-    warm_starts = ilp (fun s -> s.Ilp.warm_starts);
-    cold_solves = ilp (fun s -> s.Ilp.cold_solves);
-    refactorizations = ilp (fun s -> s.Ilp.refactorizations);
-    cuts_added = ilp (fun s -> s.Ilp.cuts_added);
-    presolve_fixed = ilp (fun s -> s.Ilp.presolve_fixed);
-    cancelled_nodes;
+    nodes = ctx.nodes;
     elapsed_s = v.elapsed_s }
 
 (* ------------------------------------------------------------------ *)
@@ -399,7 +336,7 @@ let run_pack_exact ctx ?p_max_mw problem =
       ~on_incumbent:(publish ctx "pack-exact")
       ~should_stop:(should_stop ctx) problem
   in
-  add_nodes ctx r.Pack.nodes;
+  ctx.nodes <- ctx.nodes + r.Pack.nodes;
   if r.Pack.optimal then certify ctx "pack-exact" "exact"
 
 (* The packing family's canonical re-derivation: a sequential exact
@@ -418,12 +355,12 @@ let canonical_packing ?p_max_mw problem t_star =
 
 (* Kept apart from [solve]'s cell because the two makespans live in
    different models — see {!run_pack}. *)
-let solve_pack ?pool ?deadline_s ?p_max_mw ?on_event problem =
+let solve_pack ?deadline_s ?p_max_mw ?on_event problem =
   let ctx =
     create ?deadline_s ?on_event (fun (p : Rect_sched.t) -> p.makespan)
   in
   let v =
-    race ?pool ctx ~span:"race.solve_pack"
+    race ctx ~span:"race.solve_pack"
       ~canonical:(canonical_packing ?p_max_mw problem)
       [ engine "pack-greedy" (fun () -> run_pack_greedy ctx ?p_max_mw problem);
         engine "pack-exact" (fun () -> run_pack_exact ctx ?p_max_mw problem) ]
@@ -433,6 +370,6 @@ let solve_pack ?pool ?deadline_s ?p_max_mw ?on_event problem =
     winner = v.winner;
     certificate = v.certificate;
     incumbents = v.incumbents;
-    nodes = Atomic.get ctx.nodes;
-    lower_bound = Atomic.get ctx.lb;
+    nodes = ctx.nodes;
+    lower_bound = ctx.lb;
     elapsed_s = v.elapsed_s }

@@ -101,7 +101,7 @@ let build_memos cells =
       (soc, model, Memo.build ~model soc ~max_width:!widest))
     !groups
 
-let solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell =
+let solve_cell ?deadline_s ?on_event ?on_ilp_stats memos cell =
   let memo =
     match
       List.find_opt
@@ -163,8 +163,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell =
           cuts_added = r.Ilp.stats.Ilp.cuts_added;
           presolve_fixed = r.Ilp.stats.Ilp.presolve_fixed;
           seeded_bound = r.Ilp.stats.Ilp.seeded_bound;
-          seed_fallback = r.Ilp.stats.Ilp.seed_fallback;
-          cancelled_nodes = r.Ilp.stats.Ilp.cancelled_nodes }
+          seed_fallback = r.Ilp.stats.Ilp.seed_fallback }
     | Heuristic ->
         let solution =
           match Heuristics.solve problem with
@@ -174,24 +173,14 @@ let solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell =
         in
         { blank with solution; optimal = false }
     | Race ->
-        let r = Race.solve ?pool:race_pool ?deadline_s ?on_event problem in
+        let r = Race.solve ?deadline_s ?on_event problem in
         { blank with
           solution = r.Race.solution;
           optimal = r.Race.optimal;
           nodes = r.Race.nodes;
-          lp_pivots = r.Race.lp_pivots;
-          warm_starts = r.Race.warm_starts;
-          cold_solves = r.Race.cold_solves;
-          refactorizations = r.Race.refactorizations;
-          cuts_added = r.Race.cuts_added;
-          presolve_fixed = r.Race.presolve_fixed;
-          winner = r.Race.winner;
-          cancelled_nodes = r.Race.cancelled_nodes }
+          winner = r.Race.winner }
     | Pack { p_max_mw } ->
-        let r =
-          Race.solve_pack ?pool:race_pool ?deadline_s ?p_max_mw ?on_event
-            problem
-        in
+        let r = Race.solve_pack ?deadline_s ?p_max_mw ?on_event problem in
         { blank with
           packing = r.Race.packing;
           optimal = r.Race.optimal;
@@ -208,7 +197,7 @@ let solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell =
       "sweep.cell" cell_sp;
   { row with elapsed_s = Clock.elapsed_s ~since:start }
 
-let solve_one ?deadline_s ?race_pool ?on_event ?on_ilp_stats ?memo cell =
+let solve_one ?deadline_s ?on_event ?on_ilp_stats ?memo cell =
   let memos =
     match memo with
     | Some memo
@@ -218,14 +207,11 @@ let solve_one ?deadline_s ?race_pool ?on_event ?on_ilp_stats ?memo cell =
         [ (cell.soc, cell.time_model, memo) ]
     | Some _ | None -> build_memos [ cell ]
   in
-  solve_cell ?deadline_s ?race_pool ?on_event ?on_ilp_stats memos cell
+  solve_cell ?deadline_s ?on_event ?on_ilp_stats memos cell
 
 let run ?pool ?deadline_s ?on_event cells =
   let memos = Obs.span "sweep.build_memos" (fun () -> build_memos cells) in
   let arr = Array.of_list cells in
-  (* Race cells are solved with the sequential portfolio here, never
-     with [pool]: pool tasks must not submit to their own pool, and the
-     sweep already parallelizes across cells. *)
   let rows =
     match pool with
     | None -> Array.map (solve_cell ?deadline_s ?on_event memos) arr

@@ -32,11 +32,10 @@ type solver =
           [seeded_bound]. *)
   | Heuristic  (** Seeded LPT greedy + local search. *)
   | Race
-      (** The {!Race} portfolio — heuristics, DP and MILP against one
-          shared incumbent. Inside a sweep the portfolio runs
-          {e sequentially} per cell (the sweep already parallelizes
-          across cells, and pool tasks must not submit to their own
-          pool), so race rows are deterministic. *)
+      (** The {!Race} portfolio — packing bound, DP probe, greedy,
+          annealing and DP against one shared incumbent, run
+          sequentially in the cell's domain, so race rows are
+          deterministic. *)
   | Pack of { p_max_mw : float option }
       (** The rectangle-packing family ({!Race.solve_pack}): greedy
           skyline portfolio plus certifying exact packer. Produces a
@@ -82,8 +81,8 @@ type row = {
   winner : string option;
       (** Certifying (or best-incumbent) engine ([Race] only). *)
   cancelled_nodes : int;
-      (** B&B nodes abandoned on cooperative cancellation ([Race]), or
-          on a racing caller's stop ([Ilp]). *)
+      (** Always [0]; kept so the row's JSON, the wire format and
+          stored rows keep their shape. *)
   elapsed_s : float;  (** Wall-clock spent solving this cell. *)
 }
 
@@ -120,16 +119,13 @@ val cells :
     {!Soctam_obs.Clock.now_s} instant forwarded to the ILP time-limit
     path (see {!Soctam_core.Ilp_formulation.solve}) and to [Race]
     cells; [Exact] and [Heuristic] cells are fast on served instance
-    sizes and run to completion. [race_pool] lets a [Race] cell run its
-    engines concurrently ([tamopt solve --solver race --jobs N]); it
-    must not be a pool this call is itself a task of. [on_event]
-    streams a [Race] cell's improving incumbents. [on_ilp_stats]
+    sizes and run to completion. [on_event] streams a [Race] or [Pack]
+    cell's improving incumbents. [on_ilp_stats]
     receives an [Ilp] cell's full MILP statistics, counters the row
     does not carry included.
     This is the daemon's per-request entry point. *)
 val solve_one :
   ?deadline_s:float ->
-  ?race_pool:Pool.t ->
   ?on_event:(Race.event -> unit) ->
   ?on_ilp_stats:(Soctam_core.Ilp_formulation.solve_stats -> unit) ->
   ?memo:Soctam_soc.Memo.t ->
@@ -143,9 +139,8 @@ val solve_one :
     built up-front, one per distinct (SOC, time model) among the cells.
     [deadline_s] is shared by every cell: [Ilp] cells started after the
     deadline return a best-found ([optimal = false]) row immediately.
-    [Race] cells always race sequentially here — never on [pool] —
-    and stream their incumbents through [on_event] (called from
-    whichever domain solves the cell). *)
+    [Race] and [Pack] cells stream their incumbents through [on_event],
+    called from whichever domain solves the cell. *)
 val run :
   ?pool:Pool.t ->
   ?deadline_s:float ->
@@ -180,7 +175,7 @@ val row_of_json : Soctam_obs.Json.t -> (row, string) result
 val json_of_totals : totals -> Soctam_obs.Json.t
 
 (** [equal_rows a b] compares two sweeps for result equality —
-    everything except the wall-clock [elapsed_s] fields and the
-    timing-flavoured race attribution ([winner], [cancelled_nodes]).
-    Used by the [--jobs] equivalence checks. *)
+    everything except the wall-clock [elapsed_s] fields, the race
+    attribution [winner] and [cancelled_nodes]. Used by the [--jobs]
+    equivalence checks. *)
 val equal_rows : row list -> row list -> bool

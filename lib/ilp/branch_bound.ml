@@ -9,7 +9,6 @@ type stats = {
   cold_solves : int;
   refactorizations : int;
   dropped_nodes : int;
-  cancelled_nodes : int;
   propagated_nodes : int;
   elapsed_s : float;
 }
@@ -55,8 +54,6 @@ module Heap = struct
       swap h !i ((!i - 1) / 2);
       i := (!i - 1) / 2
     done
-
-  let length h = h.len
 
   let pop h =
     assert (h.len > 0);
@@ -358,8 +355,8 @@ module Propagate = struct
 end
 
 let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
-    ?(integral_objective = false) ?incumbent ?shared ?on_incumbent
-    ?should_stop ?(branch_priority = fun _ -> 0) ?(int_tol = 1e-6) model =
+    ?(integral_objective = false) ?incumbent ?(branch_priority = fun _ -> 0)
+    ?(int_tol = 1e-6) model =
   (* Monotonic clock: the time limit and elapsed stats must be immune
      to wall-clock (NTP) steps. *)
   let start = Clock.now_s () in
@@ -381,7 +378,6 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
   let nodes = ref 0 in
   let pivots = ref 0 in
   let dropped = ref 0 in
-  let cancelled = ref 0 in
   let propagated = ref 0 in
   let max_depth = ref 0 in
   let best_point = ref None in
@@ -410,45 +406,12 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
       cold_solves = Simplex.Incremental.cold_solves lp;
       refactorizations = Simplex.Incremental.refactorizations lp;
       dropped_nodes = !dropped;
-      cancelled_nodes = !cancelled;
       propagated_nodes = !propagated;
       elapsed_s = Clock.elapsed_s ~since:start }
   in
   Heap.push heap { overrides = []; depth = 0; bound = neg_infinity; parent = None };
   let budget_hit = ref false in
-  let stop_requested () =
-    match should_stop with Some f -> f () | None -> false
-  in
-  (match should_stop with
-  | Some f -> Simplex.Incremental.set_should_stop lp f
-  | None -> ());
   while (not (Heap.is_empty heap)) && not !budget_hit do
-    if stop_requested () then begin
-      (* Cooperative cancellation: every node still on the heap is
-         abandoned unexplored. Surfaced as a budget hit so the verdict
-         honestly degrades to best-found, never claimed optimal. *)
-      budget_hit := true;
-      cancelled := Heap.length heap;
-      Obs.incr ~n:!cancelled "bb.cancelled_nodes"
-    end
-    else begin
-    (* Re-read the shared incumbent at node entry: a racing engine may
-       have published a better objective since the last node, and
-       pruning against it is sound (the cell only ever holds feasible
-       objectives). A strictly tighter shared score supersedes the
-       local point — the cell's owner holds the better solution. *)
-    (match shared with
-    | Some read -> (
-        match read () with
-        | Some v ->
-            let s = to_min v in
-            if s < !best_score then begin
-              Obs.incr "bb.shared_tighten";
-              best_score := s;
-              best_point := None
-            end
-        | None -> ())
-    | None -> ());
     let node = Heap.pop heap in
     if prune_bound node.bound >= !best_score -. 1e-9 then
       Obs.incr "bb.prune.bound"
@@ -536,10 +499,7 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
                   if score < !best_score then begin
                     Obs.incr "bb.incumbent";
                     best_score := score;
-                    best_point := Some snapped;
-                    match on_incumbent with
-                    | Some f -> f snapped (from_min score)
-                    | None -> ()
+                    best_point := Some snapped
                   end
               | Some v ->
                   outcome := "branched";
@@ -570,7 +530,6 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
                 ("outcome", !outcome) ]
             "bb.node" node_sp
       end
-    end
     end
   done;
   let stats = mk_stats () in

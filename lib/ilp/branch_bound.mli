@@ -41,9 +41,6 @@ type stats = {
   dropped_nodes : int;
       (** Nodes abandoned because their LP hit the pivot budget. Any
           dropped node downgrades the result to [Node_limit]. *)
-  cancelled_nodes : int;
-      (** Nodes still on the heap when [should_stop] fired — work a
-          racing winner saved this solver. Zero unless cancelled. *)
   propagated_nodes : int;
       (** Nodes closed by domain propagation without their LP; counted
           in [nodes] too. *)
@@ -74,23 +71,6 @@ type result =
       (default [false]).
     @param incumbent initial upper bound for minimization (lower bound for
       maximization), typically from a heuristic; pass the objective value.
-    @param shared a shared-incumbent cell, re-read at every node entry:
-      a racing engine publishes feasible objectives there and this
-      search prunes against whichever is tightest. The cell must only
-      ever hold objective values of feasible solutions, and they must
-      only improve over time. When the shared score strictly beats the
-      local incumbent, the local point is dropped (the cell's owner
-      holds the better solution) — so under [?shared] an [Infeasible]
-      verdict means "no solution strictly better than the tightest
-      bound observed", which certifies the shared incumbent optimal.
-    @param on_incumbent called (with the snapped point and its
-      objective, in the model's direction) each time the search lands a
-      new best integral solution — the hook a racing caller uses to
-      publish this engine's incumbents to the shared cell.
-    @param should_stop cooperative cancellation, polled at every node
-      entry and (via {!Simplex.Incremental.set_should_stop}) once per
-      LP pivot. When it fires, nodes still on the heap are counted in
-      [cancelled_nodes] and the verdict degrades to [Node_limit].
     @param branch_priority maps a variable index to a priority class;
       branching picks the most fractional variable within the highest
       fractional class (default: all variables in class 0).
@@ -101,9 +81,6 @@ val solve :
   ?max_lp_pivots:int ->
   ?integral_objective:bool ->
   ?incumbent:float ->
-  ?shared:(unit -> float option) ->
-  ?on_incumbent:(float array -> float -> unit) ->
-  ?should_stop:(unit -> bool) ->
   ?branch_priority:(int -> int) ->
   ?int_tol:float ->
   Model.t ->

@@ -139,11 +139,6 @@ module Incremental = struct
     mutable warm : int;
     mutable cold : int;
     mutable pivots : int;  (** Pivots spent in the solve in progress. *)
-    mutable stop_hook : unit -> bool;
-        (** Cooperative cancellation, polled once per pivot in both the
-            primal and dual loops. [true] makes the solve in progress
-            surface [Iteration_limit], exactly as if the pivot budget
-            had run out — the state stays reusable. *)
     (* Scratch vectors, all of length [max 1 m]. *)
     v_y : float array;  (** BTRAN of the basic costs (pricing). *)
     v_rho : float array;  (** BTRAN of a position unit vector. *)
@@ -163,7 +158,6 @@ module Incremental = struct
   let warm_starts t = t.warm
   let cold_solves t = t.cold
   let refactorizations t = t.refactors
-  let set_should_stop t hook = t.stop_hook <- hook
 
   let create ?(max_pivots = 200_000) model =
     let nstruct = Model.num_vars model in
@@ -292,7 +286,6 @@ module Incremental = struct
       warm = 0;
       cold = 0;
       pivots = 0;
-      stop_hook = (fun () -> false);
       v_y = Array.make (max 1 m) 0.0;
       v_rho = Array.make (max 1 m) 0.0;
       v_tau = Array.make (max 1 m) 0.0;
@@ -737,7 +730,7 @@ module Incremental = struct
     let last_obj = ref (recompute_obj t) in
     let outcome = ref None in
     while !outcome = None do
-      if t.pivots > t.max_pivots || not t.factorized || t.stop_hook () then
+      if t.pivots > t.max_pivots || not t.factorized then
         outcome := Some Phase_iter_limit
       else begin
         let bland = !stall > stall_limit in
@@ -1117,7 +1110,7 @@ module Incremental = struct
     let steps = ref 0 in
     let res = ref None in
     while !res = None do
-      if t.pivots > t.max_pivots || t.stop_hook () then res := Some Dual_iter
+      if t.pivots > t.max_pivots then res := Some Dual_iter
       else if !steps > cap || not t.factorized then res := Some Dual_give_up
       else begin
         let row = ref (-1) in

@@ -91,15 +91,6 @@ module Incremental : sig
   (** Number of basis (re)factorizations performed over the handle's
       lifetime: cold starts, warm restores, the periodic refresh every
       64 Forrest-Tomlin updates, and recovery from failed updates. *)
-
-  val set_should_stop : t -> (unit -> bool) -> unit
-  (** Install a cooperative cancellation hook, polled once per pivot in
-      both the primal and dual loops. When it returns [true] the solve
-      in progress surfaces [Iteration_limit] (same path as an exhausted
-      pivot budget), so a racing caller can cut a losing LP short
-      within one pivot. The hook must be cheap and safe to call from
-      the solving domain; it stays installed for subsequent solves
-      until replaced ([fun () -> false] restores the default). *)
 end
 
 val solve :

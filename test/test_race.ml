@@ -2,8 +2,8 @@ module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
 module Exact = Soctam_core.Exact
 module Benchmarks = Soctam_soc.Benchmarks
-module Pool = Soctam_engine.Pool
 module Race = Soctam_engine.Race
+module Pack = Soctam_pack.Pack
 module Rect_sched = Soctam_sched.Rect_sched
 module Clock = Soctam_obs.Clock
 module Cgen = Soctam_check.Gen
@@ -19,10 +19,11 @@ let constrained_problem () =
   in
   Problem.make ~constraints soc ~num_buses:3 ~total_width:16
 
-let race_with_jobs problem jobs =
-  if jobs = 1 then Race.solve problem
-  else
-    Pool.with_pool ~num_domains:jobs (fun pool -> Race.solve ~pool problem)
+(* A small rectangle-packing instance the exact packer certifies. *)
+let pack_problem () =
+  Problem.make
+    (Benchmarks.random ~seed:5 ~num_cores:4 ())
+    ~num_buses:2 ~total_width:6
 
 let test_race_certifies_exact () =
   let problem = constrained_problem () in
@@ -32,43 +33,17 @@ let test_race_certifies_exact () =
   Alcotest.(check bool) "certificate issued" true
     (r.Race.certificate <> None);
   Alcotest.(check bool) "winner named" true (r.Race.winner <> None);
-  match (exact, r.Race.solution) with
+  (match (exact, r.Race.solution) with
   | Some (_, t), Some (_, t') -> Alcotest.(check int) "race = exact" t t'
   | None, None -> ()
-  | _ -> Alcotest.fail "feasibility mismatch against exact"
-
-(* The certified answer is a pure function of the instance: identical
-   architecture (not just test time) whichever engine wins the
-   wall-clock race under any job count. *)
-let test_race_deterministic_across_jobs () =
-  let problem = constrained_problem () in
-  let r1 = race_with_jobs problem 1 in
-  Alcotest.(check bool) "jobs=1 optimal" true r1.Race.optimal;
-  List.iter
-    (fun jobs ->
-      let r = race_with_jobs problem jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d optimal" jobs)
-        true r.Race.optimal;
-      match (r1.Race.solution, r.Race.solution) with
-      | Some (a1, t1), Some (a, t) ->
-          Alcotest.(check int) (Printf.sprintf "jobs=%d time" jobs) t1 t;
-          Alcotest.(check (array int))
-            (Printf.sprintf "jobs=%d widths" jobs)
-            a1.Architecture.widths a.Architecture.widths;
-          Alcotest.(check (array int))
-            (Printf.sprintf "jobs=%d assignment" jobs)
-            a1.Architecture.assignment a.Architecture.assignment
-      | None, None -> ()
-      | _ ->
-          Alcotest.failf "jobs=%d feasibility differs from jobs=1" jobs)
-    [ 2; 4 ]
-
-(* A small rectangle-packing instance the exact packer certifies. *)
-let pack_problem () =
-  Problem.make
-    (Benchmarks.random ~seed:5 ~num_cores:4 ())
-    ~num_buses:2 ~total_width:6
+  | _ -> Alcotest.fail "feasibility mismatch against exact");
+  (* The packing family certifies too, and its re-derivation hands back
+     the exact packer's own optimum, whichever engine found it first
+     (on this instance the live incumbent is a different packing). *)
+  let p = Race.solve_pack (pack_problem ()) in
+  Alcotest.(check bool) "pack optimal" true p.Race.optimal;
+  Alcotest.(check bool) "pack = exact packer's packing" true
+    (p.Race.packing = (Pack.exact (pack_problem ())).Pack.packing)
 
 let streamed race =
   let events = ref [] in
@@ -184,26 +159,39 @@ let hard_problem () =
 
 let heuristic ev = ev.Race.engine = "greedy" || ev.Race.engine = "anneal"
 
-(* An instance the probe cannot close falls through to the heuristics,
-   and DP resumes where the probe stopped to certify Exact's optimum,
-   identically across job counts. *)
+(* Instances the probe cannot close fall through to the heuristics,
+   and DP resumes where the probe stopped to certify Exact's optimum. On
+   the two smaller ones a heuristic holds the optimum when DP certifies
+   (annealing on rnd:1:12, greedy on rnd:7:16), so only the canonical
+   re-derivation turns it into Exact's architecture. *)
 let test_probe_falls_through () =
-  let problem = hard_problem () in
-  let events = ref [] in
-  let r = Race.solve ~on_event:(fun ev -> events := ev :: !events) problem in
-  Alcotest.(check bool) "optimal" true r.Race.optimal;
-  Alcotest.(check bool) "past the probe's budget" true
-    (r.Race.nodes > Race.probe_node_budget);
-  Alcotest.(check bool) "heuristics published" true
-    (List.exists heuristic !events);
-  let arch, t = architecture_of r in
-  (match (Exact.solve problem).Exact.solution with
-  | Some (_, t_exact) -> Alcotest.(check int) "exact optimum" t_exact t
-  | None -> Alcotest.fail "exact found no solution");
-  let arch2, t2 = architecture_of (race_with_jobs problem 2) in
-  Alcotest.(check int) "jobs=2 time" t t2;
-  check_architecture "jobs=2" arch2 ~widths:arch.Architecture.widths
-    ~assignment:arch.Architecture.assignment
+  List.iter
+    (fun (name, problem) ->
+      let events = ref [] in
+      let r =
+        Race.solve ~on_event:(fun ev -> events := ev :: !events) problem
+      in
+      Alcotest.(check bool) (name ^ " optimal") true r.Race.optimal;
+      Alcotest.(check bool) (name ^ " past the probe's budget") true
+        (r.Race.nodes > Race.probe_node_budget);
+      Alcotest.(check bool) (name ^ " heuristics published") true
+        (List.exists heuristic !events);
+      let arch, t = architecture_of r in
+      match (Exact.solve problem).Exact.solution with
+      | Some (exact, t_exact) ->
+          Alcotest.(check int) (name ^ " exact optimum") t_exact t;
+          check_architecture name arch ~widths:exact.Architecture.widths
+            ~assignment:exact.Architecture.assignment
+      | None -> Alcotest.fail "exact found no solution")
+    [ ("rnd:7:32", hard_problem ());
+      ( "rnd:1:12",
+        Problem.make
+          (Benchmarks.random ~seed:1 ~num_cores:12 ())
+          ~num_buses:2 ~total_width:16 );
+      ( "rnd:7:16",
+        Problem.make
+          (Benchmarks.random ~seed:7 ~num_cores:16 ())
+          ~num_buses:4 ~total_width:8 ) ]
 
 (* The probe is node-budgeted, so a deadline race stays anytime: it
    still hands back a heuristic incumbent, uncertified. On 36 cores the
@@ -230,20 +218,20 @@ let test_probe_keeps_deadline_races_anytime () =
         (Some last.Race.engine) r.Race.winner
   | [] -> Alcotest.fail "expected a streamed incumbent"
 
+(* The certified answer is a pure function of the instance, whichever
+   engine certified it: the canonical re-derivation returns Exact's
+   architecture, widths and assignment included, not just its time. *)
 let prop_race_matches_exact =
   QCheck.Test.make ~name:"race certifies the exact optimum" ~count:25
     Gen.spec_arbitrary (fun spec ->
       let problem = Cgen.problem_of_spec spec in
-      let exact = Option.map snd (Exact.solve problem).Exact.solution in
+      let exact = (Exact.solve problem).Exact.solution in
       let r = Race.solve problem in
-      r.Race.optimal
-      && Option.map snd r.Race.solution = exact)
+      r.Race.optimal && r.Race.solution = exact)
 
 let suite =
   [ Alcotest.test_case "certifies the exact optimum" `Quick
       test_race_certifies_exact;
-    Alcotest.test_case "identical across jobs in {1,2,4}" `Quick
-      test_race_deterministic_across_jobs;
     Alcotest.test_case "streamed incumbents strictly improve" `Quick
       test_race_stream_monotone;
     Alcotest.test_case "expired deadline yields a partial verdict" `Quick

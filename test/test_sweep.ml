@@ -58,65 +58,6 @@ let test_pool_shutdown () =
   Alcotest.check_raises "bad size" (Invalid_argument "Pool.create: num_domains < 1")
     (fun () -> ignore (Pool.create ~num_domains:0 ()))
 
-let test_pool_cancel_token () =
-  let token = Pool.Cancel.create () in
-  Alcotest.(check bool) "fresh token" false (Pool.Cancel.cancelled token);
-  Pool.Cancel.cancel token;
-  Alcotest.(check bool) "cancelled" true (Pool.Cancel.cancelled token);
-  (* Cancelling is idempotent. *)
-  Pool.Cancel.cancel token;
-  Alcotest.(check bool) "still cancelled" true (Pool.Cancel.cancelled token)
-
-let test_pool_map_cancellable () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~num_domains:jobs (fun pool ->
-          (* Un-cancelled: behaves exactly like map. *)
-          let token = Pool.Cancel.create () in
-          let out =
-            Pool.map_cancellable pool ~token ~f:(fun x -> x * x)
-              (Array.init 20 Fun.id)
-          in
-          Alcotest.(check (array (option int)))
-            (Printf.sprintf "uncancelled, %d domains" jobs)
-            (Array.init 20 (fun i -> Some (i * i)))
-            out;
-          (* Cancelled up-front: every slot skipped, pool survives. *)
-          let token = Pool.Cancel.create () in
-          Pool.Cancel.cancel token;
-          let ran = Atomic.make 0 in
-          let out =
-            Pool.map_cancellable pool ~token
-              ~f:(fun x ->
-                Atomic.incr ran;
-                x)
-              (Array.init 20 Fun.id)
-          in
-          Alcotest.(check (array (option int)))
-            (Printf.sprintf "pre-cancelled, %d domains" jobs)
-            (Array.make 20 None) out;
-          Alcotest.(check int) "no task body ran" 0 (Atomic.get ran);
-          let out = Pool.map pool ~f:succ (Array.init 4 Fun.id) in
-          Alcotest.(check int) "pool survives" 4 out.(3)))
-    [ 1; 3 ]
-
-let test_pool_cancel_mid_batch () =
-  (* One domain runs the batch inline in index order, so cancelling
-     from inside a task deterministically skips every later element. *)
-  Pool.with_pool ~num_domains:1 (fun pool ->
-      let token = Pool.Cancel.create () in
-      let out =
-        Pool.map_cancellable pool ~token
-          ~f:(fun x ->
-            if x = 4 then Pool.Cancel.cancel token;
-            x)
-          (Array.init 10 Fun.id)
-      in
-      Alcotest.(check (array (option int)))
-        "elements after the cancelling task are skipped"
-        (Array.init 10 (fun i -> if i <= 4 then Some i else None))
-        out)
-
 (* ---- Sweep vs the plain sequential loop. ---- *)
 
 let widths = [ 8; 12; 16; 20; 24 ]
@@ -253,10 +194,7 @@ let pool_suite =
   [ Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
     Alcotest.test_case "empty batch + reuse" `Quick test_pool_empty_and_reuse;
     Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-    Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-    Alcotest.test_case "cancellation token" `Quick test_pool_cancel_token;
-    Alcotest.test_case "map_cancellable" `Quick test_pool_map_cancellable;
-    Alcotest.test_case "cancel mid-batch" `Quick test_pool_cancel_mid_batch ]
+    Alcotest.test_case "shutdown" `Quick test_pool_shutdown ]
 
 let suite =
   [ Alcotest.test_case "parallel = sequential (times, widths, assignments)"
