@@ -9,7 +9,8 @@
      --quick        reduced width ranges / skip the slow ablations (CI)
      --sweep-only   run only the E8/E9 sweep + observability sections
      --jobs N       domains for the parallel side of E8 (0 = all cores)
-     --json PATH    write the E8/E9 measurements as JSON
+     --json PATH    write the E8, E9, E11, E12 and E13 measurements as JSON
+     --service-json PATH  write the E10 and E14 measurements as JSON
      --trace PATH   record the E8 sweeps and write a Chrome trace *)
 
 module Problem = Soctam_core.Problem
@@ -63,6 +64,7 @@ let flag_value name =
   !value
 
 let json_path = flag_value "--json"
+let service_json_path = flag_value "--service-json"
 let trace_path = flag_value "--trace"
 
 let jobs =
@@ -949,29 +951,67 @@ let table_a6 () =
   print_endline "(+ = enumeration cap reached; best-found wirelength shown)"
 
 (* ------------------------------------------------------------------ *)
+(* JSON documents. [--json] collects E8, E11, E13, E9 and E12;         *)
+(* [--service-json] collects E10 and E14. Each section appends its     *)
+(* members where it measures them, so run order is key order.          *)
+
+let sweep_doc =
+  ref
+    [ ("domains_available", Json.int (Domain.recommended_domain_count ()));
+      ("jobs", Json.int jobs);
+      ("quick", Json.Bool quick) ]
+
+let service_doc =
+  ref [ ("experiment", Json.Str "E10"); ("jobs", Json.int jobs) ]
+
+let record doc members = doc := !doc @ members
+
+(* [write_doc path doc] writes [doc] under its UTC recording time. *)
+let write_doc path doc =
+  let t = Unix.gmtime (Unix.time ()) in
+  let stamp =
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
+      (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
+      t.Unix.tm_sec
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (Json.to_string_pretty
+           (Json.Obj (("recorded_utc", Json.Str stamp) :: !doc))))
+
+let json_opt f = function Some v -> f v | None -> Json.Null
+let yes_no b = if b then "yes" else "NO"
+
+(* Latencies through the telemetry histogram, as the daemon reports
+   them, so the recorded numbers carry its (bounded) bucketing error
+   and its p999. *)
+let latency_table paths =
+  let pct snap q = Table.fmt_float ~decimals:3 (Hist.quantile snap q) in
+  print_string
+    (Table.render
+       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right;
+                 Table.Right; Table.Right ]
+       ~headers:[ "path"; "requests"; "p50 ms"; "p95 ms"; "p99 ms";
+                  "p999 ms" ]
+       (List.map
+          (fun (name, samples) ->
+            let snap = Hist.of_samples samples in
+            [ name; string_of_int (Array.length samples); pct snap 0.50;
+              pct snap 0.95; pct snap 0.99; pct snap 0.999 ])
+          paths))
+
+let latency_json samples =
+  let snap = Hist.of_samples samples in
+  let q x = Json.Num (Hist.quantile snap x) in
+  Json.Obj
+    [ ("count", Json.int (Array.length samples));
+      ("p50_ms", q 0.50);
+      ("p95_ms", q 0.95);
+      ("p99_ms", q 0.99);
+      ("p999_ms", q 0.999) ]
+
+(* ------------------------------------------------------------------ *)
 (* E8: parallel sweep engine — sequential vs parallel wall-clock.      *)
-
-type sweep_measurement = {
-  sm_soc : string;
-  sm_num_buses : int;
-  sm_solver : string;
-  sm_cells : int;
-  sm_nodes : int;
-  sm_lp_pivots : int;
-  sm_warm : int;
-  sm_cold : int;
-  sm_refactor : int;
-  sm_cuts : int;
-  sm_fixed : int;
-  sm_seq_s : float;
-  sm_par_s : float;
-  sm_identical : bool;
-  sm_rows : Sweep.row list;
-}
-
-(* Measurements survive their sections so [write_json] can emit one
-   combined document at the end of the run. *)
-let e8_measurements : sweep_measurement list ref = ref []
 
 let table_e8 () =
   section "E8"
@@ -1008,41 +1048,64 @@ let table_e8 () =
         (Benchmarks.s1 (), 2, [ 12; 16 ], free, ilp);
         (Benchmarks.s1 (), 3, [ 8 ], constrained, ilp) ]
   in
-  let solver_name = Sweep.solver_name in
   (* [--trace] records the E8 sweeps themselves; the trace is written
      here, before E9 restarts the recording epoch for its overhead
      measurement. *)
   if trace_path <> None then Obs.enable ();
-  let measurements =
+  let seq_total = ref 0.0 and par_total = ref 0.0 in
+  let all_rows = ref [] and all_identical = ref true in
+  let table, sweeps =
     Pool.with_pool ~num_domains:jobs (fun pool ->
-        List.map
-          (fun (soc, num_buses, widths, constraints, solver) ->
-            let cells =
-              Sweep.cells ~constraints ~solver soc ~num_buses ~widths
-            in
-            let t0 = Clock.now_s () in
-            let seq_rows = Sweep.run cells in
-            let seq_s = Clock.elapsed_s ~since:t0 in
-            let t1 = Clock.now_s () in
-            let par_rows = Sweep.run ~pool cells in
-            let par_s = Clock.elapsed_s ~since:t1 in
-            let totals = Sweep.totals seq_rows in
-            { sm_soc = Soc.name soc;
-              sm_num_buses = num_buses;
-              sm_solver = solver_name solver;
-              sm_cells = totals.Sweep.cells;
-              sm_nodes = totals.Sweep.nodes;
-              sm_lp_pivots = totals.Sweep.lp_pivots;
-              sm_warm = totals.Sweep.warm_starts;
-              sm_cold = totals.Sweep.cold_solves;
-              sm_refactor = totals.Sweep.refactorizations;
-              sm_cuts = totals.Sweep.cuts_added;
-              sm_fixed = totals.Sweep.presolve_fixed;
-              sm_seq_s = seq_s;
-              sm_par_s = par_s;
-              sm_identical = Sweep.equal_rows seq_rows par_rows;
-              sm_rows = seq_rows })
-          workloads)
+        List.split
+          (List.map
+             (fun (soc, num_buses, widths, constraints, solver) ->
+               let cells =
+                 Sweep.cells ~constraints ~solver soc ~num_buses ~widths
+               in
+               let t0 = Clock.now_s () in
+               let rows = Sweep.run cells in
+               let seq_s = Clock.elapsed_s ~since:t0 in
+               let t1 = Clock.now_s () in
+               let par_rows = Sweep.run ~pool cells in
+               let par_s = Clock.elapsed_s ~since:t1 in
+               let identical = Sweep.equal_rows rows par_rows in
+               seq_total := !seq_total +. seq_s;
+               par_total := !par_total +. par_s;
+               all_rows := !all_rows @ rows;
+               all_identical := !all_identical && identical;
+               let t = Sweep.totals rows in
+               ( [ Soc.name soc;
+                   string_of_int num_buses;
+                   Sweep.solver_name solver;
+                   string_of_int t.Sweep.cells;
+                   string_of_int t.Sweep.nodes;
+                   string_of_int t.Sweep.lp_pivots;
+                   string_of_int t.Sweep.warm_starts;
+                   string_of_int t.Sweep.cold_solves;
+                   string_of_int t.Sweep.cuts_added;
+                   string_of_int t.Sweep.presolve_fixed;
+                   Table.fmt_float ~decimals:3 seq_s;
+                   Table.fmt_float ~decimals:3 par_s;
+                   Table.fmt_float (seq_s /. par_s) ^ "x";
+                   yes_no identical ],
+                 Json.Obj
+                   [ ("soc", Json.Str (Soc.name soc));
+                     ("num_buses", Json.int num_buses);
+                     ("solver", Json.Str (Sweep.solver_name solver));
+                     ("cells", Json.int t.Sweep.cells);
+                     ("nodes", Json.int t.Sweep.nodes);
+                     ("lp_pivots", Json.int t.Sweep.lp_pivots);
+                     ("warm_starts", Json.int t.Sweep.warm_starts);
+                     ("cold_solves", Json.int t.Sweep.cold_solves);
+                     ("refactorizations", Json.int t.Sweep.refactorizations);
+                     ("cuts_added", Json.int t.Sweep.cuts_added);
+                     ("presolve_fixed", Json.int t.Sweep.presolve_fixed);
+                     ("seq_s", Json.Num seq_s);
+                     ("par_s", Json.Num par_s);
+                     ("speedup", Json.Num (seq_s /. par_s));
+                     ("identical", Json.Bool identical);
+                     ("rows", Json.Arr (List.map Sweep.json_of_row rows)) ] ))
+             workloads))
   in
   (match trace_path with
   | Some path ->
@@ -1051,76 +1114,41 @@ let table_e8 () =
       Trace.write path ~metrics events;
       Printf.printf "trace: %d events -> %s\n" (List.length events) path
   | None -> ());
-  e8_measurements := measurements;
-  let rows =
-    List.map
-      (fun m ->
-        [ m.sm_soc;
-          string_of_int m.sm_num_buses;
-          m.sm_solver;
-          string_of_int m.sm_cells;
-          string_of_int m.sm_nodes;
-          string_of_int m.sm_lp_pivots;
-          string_of_int m.sm_warm;
-          string_of_int m.sm_cold;
-          string_of_int m.sm_cuts;
-          string_of_int m.sm_fixed;
-          Table.fmt_float ~decimals:3 m.sm_seq_s;
-          Table.fmt_float ~decimals:3 m.sm_par_s;
-          Table.fmt_float (m.sm_seq_s /. m.sm_par_s) ^ "x";
-          (if m.sm_identical then "yes" else "NO") ])
-      measurements
-  in
   print_string
     (Table.render
        ~headers:
          [ "soc"; "nb"; "solver"; "cells"; "nodes"; "pivots"; "warm";
            "cold"; "cuts"; "fixed"; "seq s"; "par s"; "speedup";
            "identical" ]
-       rows);
-  let seq_total = List.fold_left (fun a m -> a +. m.sm_seq_s) 0.0 measurements in
-  let par_total = List.fold_left (fun a m -> a +. m.sm_par_s) 0.0 measurements in
-  let total_pivots = List.fold_left (fun a m -> a + m.sm_lp_pivots) 0 measurements in
-  let total_warm = List.fold_left (fun a m -> a + m.sm_warm) 0 measurements in
-  let total_cold = List.fold_left (fun a m -> a + m.sm_cold) 0 measurements in
-  let all_identical = List.for_all (fun m -> m.sm_identical) measurements in
+       table);
+  let speedup = !seq_total /. !par_total in
   Printf.printf
     "\nspeedup summary: %.3f s sequential vs %.3f s on %d domain(s) — \
      %.2fx; rows identical across job counts: %s\n"
-    seq_total par_total jobs
-    (seq_total /. par_total)
-    (if all_identical then "yes" else "NO");
-  let total_refactor =
-    List.fold_left (fun a m -> a + m.sm_refactor) 0 measurements
-  in
-  let total_cuts = List.fold_left (fun a m -> a + m.sm_cuts) 0 measurements in
-  let total_fixed = List.fold_left (fun a m -> a + m.sm_fixed) 0 measurements in
+    !seq_total !par_total jobs speedup (yes_no !all_identical);
+  let t = Sweep.totals !all_rows in
   Printf.printf
     "LP work: %d pivots total; %d warm-started node LPs vs %d cold solves, \
      %d refactorizations\n\
      model strengthening: %d clique rows, %d variables presolved away\n"
-    total_pivots total_warm total_cold total_refactor total_cuts total_fixed;
-  if not all_identical then
+    t.Sweep.lp_pivots t.Sweep.warm_starts t.Sweep.cold_solves
+    t.Sweep.refactorizations t.Sweep.cuts_added t.Sweep.presolve_fixed;
+  record sweep_doc
+    [ ("sweeps", Json.Arr sweeps);
+      ("seq_total_s", Json.Num !seq_total);
+      ("par_total_s", Json.Num !par_total);
+      ("speedup", Json.Num speedup);
+      ("total_lp_pivots", Json.int t.Sweep.lp_pivots);
+      ("total_warm_starts", Json.int t.Sweep.warm_starts);
+      ("total_cold_solves", Json.int t.Sweep.cold_solves);
+      ("total_refactorizations", Json.int t.Sweep.refactorizations);
+      ("total_cuts_added", Json.int t.Sweep.cuts_added);
+      ("total_presolve_fixed", Json.int t.Sweep.presolve_fixed) ];
+  if not !all_identical then
     print_endline "!! parallel sweep diverged from the sequential loop"
 
 (* ------------------------------------------------------------------ *)
 (* E9: observability — instrumentation overhead.                       *)
-
-type overhead = {
-  ov_disabled_s : float;
-  ov_enabled_s : float;
-  ov_events : int;
-  ov_counter_updates : int;
-  ov_probe_ns : float;
-  ov_disabled_pct : float;
-      (** Modeled cost of the compiled-in-but-disabled probes: no-op
-          probe cost times the probe count the enabled run recorded,
-          relative to the disabled wall-clock. The CI-guarded number:
-          unlike enabled-vs-disabled wall deltas it does not drift with
-          machine noise. *)
-}
-
-let e9_overhead : overhead option ref = ref None
 
 let table_e9 () =
   section "E9" "observability: instrumentation overhead on the quick sweep";
@@ -1165,18 +1193,17 @@ let table_e9 () =
   (* [enable] ran once before the three enabled repetitions, so the
      drained buffers hold three runs' worth of probes; normalize to
      one run. *)
+  let events_per_run = num_events / 3 in
+  let counter_updates_per_run = counter_updates / 3 in
   let probes_per_run = (num_events + counter_updates) / 3 in
+  (* Modeled cost of the compiled-in-but-disabled probes: no-op probe
+     cost times the probe count the enabled run recorded, relative to
+     the disabled wall-clock. The CI-guarded number: unlike
+     enabled-vs-disabled wall deltas it does not drift with machine
+     noise. *)
   let disabled_pct =
     probe_ns *. float_of_int probes_per_run /. (disabled_s *. 1e9) *. 100.0
   in
-  e9_overhead :=
-    Some
-      { ov_disabled_s = disabled_s;
-        ov_enabled_s = enabled_s;
-        ov_events = num_events / 3;
-        ov_counter_updates = counter_updates / 3;
-        ov_probe_ns = probe_ns;
-        ov_disabled_pct = disabled_pct };
   print_string
     (Table.render ~aligns:[ Table.Left; Table.Right ]
        ~headers:[ "metric"; "value" ]
@@ -1186,35 +1213,26 @@ let table_e9 () =
            Table.fmt_float ~decimals:4 enabled_s ];
          [ "enabled / disabled";
            Table.fmt_float ~decimals:3 (enabled_s /. disabled_s) ^ "x" ];
-         [ "events per run"; string_of_int (num_events / 3) ];
-         [ "counter updates per run"; string_of_int (counter_updates / 3) ];
+         [ "events per run"; string_of_int events_per_run ];
+         [ "counter updates per run"; string_of_int counter_updates_per_run ];
          [ "disabled probe cost (ns)"; Table.fmt_float ~decimals:2 probe_ns ];
          [ "modeled disabled overhead";
            Table.fmt_float ~decimals:4 disabled_pct ^ "%" ] ]);
   print_endline
     "(modeled disabled overhead = probe cost x probe count / disabled\n\
-    \ wall; the CI guard keeps it under 3%)"
+    \ wall; the CI guard keeps it under 3%)";
+  record sweep_doc
+    [ ( "obs",
+        Json.Obj
+          [ ("disabled_s", Json.Num disabled_s);
+            ("enabled_s", Json.Num enabled_s);
+            ("events_per_run", Json.int events_per_run);
+            ("counter_updates_per_run", Json.int counter_updates_per_run);
+            ("probe_ns", Json.Num probe_ns);
+            ("disabled_overhead_pct", Json.Num disabled_pct) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: solver-as-a-service — the daemon engine driven in-process.     *)
-
-type service_measurement = {
-  sv_requests : int;
-  sv_concurrency : int;
-  sv_distinct : int;
-  sv_wall_s : float;
-  sv_throughput_rps : float;
-  sv_completed : int;
-  sv_errors : int;
-  sv_hit_lat : float array;
-  sv_miss_lat : float array;
-  sv_stats : Json.t;
-  sv_overload_requests : int;
-  sv_overload_completed : int;
-  sv_overload_shed : int;
-}
-
-let e10_measurement : service_measurement option ref = ref None
 
 let table_e10 () =
   section "E10"
@@ -1291,7 +1309,8 @@ let table_e10 () =
   in
   let hits = select (fun i -> ok.(i) && was_cached.(i)) in
   let misses = select (fun i -> ok.(i) && not was_cached.(i)) in
-  let completed = select (fun i -> ok.(i)) in
+  let completed = Array.length (select (fun i -> ok.(i))) in
+  let throughput = float_of_int requests /. wall_s in
   (* Open-loop overload: a burst wider than the admission queue, fired
      all at once against a tiny-queue service. Every request must be
      accounted for as completed or shed — nothing hangs, nothing is
@@ -1325,70 +1344,43 @@ let table_e10 () =
       let threads = List.init ovl_requests (fun i -> Thread.create fire i) in
       List.iter Thread.join threads;
       Service.drain svc);
-  let m =
-    {
-      sv_requests = requests;
-      sv_concurrency = concurrency;
-      sv_distinct = distinct;
-      sv_wall_s = wall_s;
-      sv_throughput_rps = float_of_int requests /. wall_s;
-      sv_completed = Array.length completed;
-      sv_errors = requests - Array.length completed;
-      sv_hit_lat = hits;
-      sv_miss_lat = misses;
-      sv_stats = stats;
-      sv_overload_requests = ovl_requests;
-      sv_overload_completed = !ovl_completed;
-      sv_overload_shed = !ovl_shed;
-    }
-  in
-  e10_measurement := Some m;
-  (* Latencies through the telemetry histogram, as the daemon reports
-     them — exercising the same path BENCH_service.json records. *)
-  let pct a q =
-    Table.fmt_float ~decimals:3 (Hist.quantile (Hist.of_samples a) q)
-  in
-  print_string
-    (Table.render
-       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right;
-                 Table.Right; Table.Right ]
-       ~headers:[ "path"; "requests"; "p50 ms"; "p95 ms"; "p99 ms";
-                  "p999 ms" ]
-       [ [ "cache miss (solve)";
-           string_of_int (Array.length misses);
-           pct misses 0.50; pct misses 0.95; pct misses 0.99;
-           pct misses 0.999 ];
-         [ "cache hit";
-           string_of_int (Array.length hits);
-           pct hits 0.50; pct hits 0.95; pct hits 0.99;
-           pct hits 0.999 ] ]);
+  let unaccounted = ovl_requests - !ovl_completed - !ovl_shed in
+  latency_table [ ("cache miss (solve)", misses); ("cache hit", hits) ];
   Printf.printf
     "%d requests over %d client threads in %.3f s: %.0f req/s, %d errors\n"
-    requests concurrency wall_s m.sv_throughput_rps m.sv_errors;
+    requests concurrency wall_s throughput (requests - completed);
   Printf.printf
     "overload burst: %d requests at queue=%d: %d completed, %d shed, %d \
      unaccounted\n"
-    ovl_requests ovl_queue !ovl_completed !ovl_shed
-    (ovl_requests - !ovl_completed - !ovl_shed);
+    ovl_requests ovl_queue !ovl_completed !ovl_shed unaccounted;
   let hit_p50 = Metrics.percentile hits 0.50 in
   let miss_p50 = Metrics.percentile misses 0.50 in
-  Printf.printf "hit p50 is %.1fx below miss p50\n" (miss_p50 /. hit_p50)
+  Printf.printf "hit p50 is %.1fx below miss p50\n" (miss_p50 /. hit_p50);
+  record service_doc
+    [ ("requests", Json.int requests);
+      ("concurrency", Json.int concurrency);
+      ("distinct_instances", Json.int distinct);
+      ("wall_s", Json.Num wall_s);
+      ("throughput_rps", Json.Num throughput);
+      ("completed", Json.int completed);
+      ("errors", Json.int (requests - completed));
+      ( "shed_rate",
+        Json.Num (float_of_int !ovl_shed /. float_of_int (max 1 ovl_requests))
+      );
+      ( "latency",
+        Json.Obj
+          [ ("hit", latency_json hits); ("miss", latency_json misses) ] );
+      ( "overload",
+        Json.Obj
+          [ ("requests", Json.int ovl_requests);
+            ("completed", Json.int !ovl_completed);
+            ("shed", Json.int !ovl_shed);
+            ("unaccounted", Json.int unaccounted) ] );
+      ("service_stats", stats) ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: persistent result store — cold recovery and the latency of a   *)
 (* store hit against the in-memory LRU hit and the full solve.         *)
-
-type store_measurement = {
-  stm_distinct : int;
-  stm_records : int;
-  stm_bytes : int;
-  stm_reopen_ms : float;
-  stm_miss_lat : float array;
-  stm_lru_lat : float array;
-  stm_store_lat : float array;
-}
-
-let e14_measurement : store_measurement option ref = ref None
 
 let table_e14 () =
   section "E14"
@@ -1467,33 +1459,10 @@ let table_e14 () =
         done
       done);
   Store.close store;
-  e14_measurement :=
-    Some
-      {
-        stm_distinct = distinct;
-        stm_records = st.Store.live;
-        stm_bytes = st.Store.bytes;
-        stm_reopen_ms = reopen_ms;
-        stm_miss_lat = miss_lat;
-        stm_lru_lat = lru_lat;
-        stm_store_lat = store_lat;
-      };
-  let pct a q =
-    Table.fmt_float ~decimals:3 (Hist.quantile (Hist.of_samples a) q)
-  in
-  let row name a =
-    [ name; string_of_int (Array.length a);
-      pct a 0.50; pct a 0.95; pct a 0.99; pct a 0.999 ]
-  in
-  print_string
-    (Table.render
-       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right;
-                 Table.Right; Table.Right ]
-       ~headers:[ "path"; "requests"; "p50 ms"; "p95 ms"; "p99 ms";
-                  "p999 ms" ]
-       [ row "miss (solve + store append)" miss_lat;
-         row "LRU hit (memory)" lru_lat;
-         row "store hit (disk, cold LRU)" store_lat ]);
+  latency_table
+    [ ("miss (solve + store append)", miss_lat);
+      ("LRU hit (memory)", lru_lat);
+      ("store hit (disk, cold LRU)", store_lat) ];
   Printf.printf
     "cold open recovered %d records (%d bytes) in %.3f ms\n" st.Store.live
     st.Store.bytes reopen_ms;
@@ -1502,32 +1471,33 @@ let table_e14 () =
   let miss_p50 = Metrics.percentile miss_lat 0.50 in
   Printf.printf
     "store hit p50 is %.1fx an LRU hit, %.1fx below a solve\n"
-    (store_p50 /. lru_p50) (miss_p50 /. store_p50)
-
+    (store_p50 /. lru_p50) (miss_p50 /. store_p50);
+  (* The store-hit summary joins E10's latency object; the store
+     object closes the document. *)
+  service_doc :=
+    List.map
+      (function
+        | "latency", Json.Obj paths ->
+            ( "latency",
+              Json.Obj (paths @ [ ("store_hit", latency_json store_lat) ]) )
+        | member -> member)
+      !service_doc;
+  record service_doc
+    [ ( "store",
+        Json.Obj
+          [ ("distinct_instances", Json.int distinct);
+            ("records", Json.int st.Store.live);
+            ("bytes", Json.int st.Store.bytes);
+            ("cold_open_ms", Json.Num reopen_ms);
+            ( "latency",
+              Json.Obj
+                [ ("miss", latency_json miss_lat);
+                  ("lru_hit", latency_json lru_lat);
+                  ("store_hit", latency_json store_lat) ] ) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E11: anytime portfolio racing — wall-clock vs the best single       *)
 (* certifying engine, and the B&B node savings from incumbent seeding. *)
-
-type race_measurement = {
-  rm_soc : string;
-  rm_num_buses : int;
-  rm_width : int;
-  rm_test_time : int option;
-  rm_exact_s : float;
-  rm_ilp_s : float;
-  rm_best_single : string;
-  rm_best_single_s : float;
-  rm_race_seq_s : float;
-  rm_winner : string;
-  rm_incumbents : int;
-  rm_nodes_seeded : int;
-  rm_nodes_unseeded : int;
-  rm_constrained : bool;
-  rm_identical : bool;
-}
-
-let e11_measurements : race_measurement list ref = ref []
 
 let table_e11 () =
   section "E11"
@@ -1559,103 +1529,114 @@ let table_e11 () =
   let ilp seed =
     Sweep.Ilp { time_limit_s = None; presolve = true; cuts = true; seed }
   in
-  let measurements =
-    List.concat_map
-      (fun (soc, num_buses, widths, constraints) ->
-        let cell solver w =
-          List.hd
-            (Sweep.cells ~constraints ~solver soc ~num_buses ~widths:[ w ])
-        in
-        List.map
-          (fun w ->
-            let time ?on_event solver =
-              let t0 = Clock.now_s () in
-              let row = Sweep.solve_one ?on_event (cell solver w) in
-              (row, Clock.elapsed_s ~since:t0)
-            in
-            let exact_row, exact_s = time Sweep.Exact in
-            let ilp_row, ilp_s = time (ilp true) in
-            let unseeded_row, _ = time (ilp false) in
-            let incumbents = ref 0 in
-            let race_row, race_s =
-              time ~on_event:(fun _ -> incr incumbents) Sweep.Race
-            in
-            let best_single, best_single_s =
-              if exact_s <= ilp_s then ("exact", exact_s) else ("ilp", ilp_s)
-            in
-            let t (row : Sweep.row) = Option.map snd row.Sweep.solution in
-            let identical =
-              t race_row = t exact_row
-              && t ilp_row = t exact_row
-              && t unseeded_row = t exact_row
-              && race_row.Sweep.optimal
-            in
-            { rm_soc = Soc.name soc;
-              rm_num_buses = num_buses;
-              rm_width = w;
-              rm_test_time = t exact_row;
-              rm_exact_s = exact_s;
-              rm_ilp_s = ilp_s;
-              rm_best_single = best_single;
-              rm_best_single_s = best_single_s;
-              rm_race_seq_s = race_s;
-              rm_winner = Option.value ~default:"-" race_row.Sweep.winner;
-              rm_incumbents = !incumbents;
-              rm_nodes_seeded = ilp_row.Sweep.nodes;
-              rm_nodes_unseeded = unseeded_row.Sweep.nodes;
-              rm_constrained = constraints <> Problem.no_constraints;
-              rm_identical = identical })
-          widths)
-      workloads
-  in
-  e11_measurements := measurements;
-  let rows =
-    List.map
-      (fun m ->
-        [ m.rm_soc;
-          string_of_int m.rm_num_buses;
-          string_of_int m.rm_width;
-          (match m.rm_test_time with
-          | Some t -> string_of_int t
-          | None -> "-");
-          Table.fmt_float ~decimals:3 m.rm_exact_s;
-          Table.fmt_float ~decimals:3 m.rm_ilp_s;
-          Table.fmt_float ~decimals:3 m.rm_race_seq_s;
-          m.rm_winner;
-          string_of_int m.rm_incumbents;
-          string_of_int m.rm_nodes_seeded;
-          string_of_int m.rm_nodes_unseeded;
-          (if m.rm_identical then "yes" else "NO") ])
-      measurements
+  let race_total = ref 0.0 and best_total = ref 0.0 in
+  let seeded = ref 0 and unseeded = ref 0 in
+  let winners = ref [] and all_identical = ref true in
+  let table, cells =
+    List.split
+      (List.concat_map
+         (fun (soc, num_buses, widths, constraints) ->
+           let cell solver w =
+             List.hd
+               (Sweep.cells ~constraints ~solver soc ~num_buses ~widths:[ w ])
+           in
+           List.map
+             (fun w ->
+               let time ?on_event solver =
+                 let t0 = Clock.now_s () in
+                 let row = Sweep.solve_one ?on_event (cell solver w) in
+                 (row, Clock.elapsed_s ~since:t0)
+               in
+               let exact_row, exact_s = time Sweep.Exact in
+               let ilp_row, ilp_s = time (ilp true) in
+               let unseeded_row, _ = time (ilp false) in
+               let incumbents = ref 0 in
+               let race_row, race_s =
+                 time ~on_event:(fun _ -> incr incumbents) Sweep.Race
+               in
+               let best_single, best_single_s =
+                 if exact_s <= ilp_s then ("exact", exact_s)
+                 else ("ilp", ilp_s)
+               in
+               let t (row : Sweep.row) = Option.map snd row.Sweep.solution in
+               let identical =
+                 t race_row = t exact_row
+                 && t ilp_row = t exact_row
+                 && t unseeded_row = t exact_row
+                 && race_row.Sweep.optimal
+               in
+               let winner = Option.value ~default:"-" race_row.Sweep.winner in
+               race_total := !race_total +. race_s;
+               best_total := !best_total +. best_single_s;
+               seeded := !seeded + ilp_row.Sweep.nodes;
+               unseeded := !unseeded + unseeded_row.Sweep.nodes;
+               winners := winner :: !winners;
+               all_identical := !all_identical && identical;
+               ( [ Soc.name soc;
+                   string_of_int num_buses;
+                   string_of_int w;
+                   (match t exact_row with
+                   | Some t -> string_of_int t
+                   | None -> "-");
+                   Table.fmt_float ~decimals:3 exact_s;
+                   Table.fmt_float ~decimals:3 ilp_s;
+                   Table.fmt_float ~decimals:3 race_s;
+                   winner;
+                   string_of_int !incumbents;
+                   string_of_int ilp_row.Sweep.nodes;
+                   string_of_int unseeded_row.Sweep.nodes;
+                   yes_no identical ],
+                 Json.Obj
+                   [ ("soc", Json.Str (Soc.name soc));
+                     ("num_buses", Json.int num_buses);
+                     ("total_width", Json.int w);
+                     ("test_time", json_opt Json.int (t exact_row));
+                     ("exact_s", Json.Num exact_s);
+                     ("ilp_s", Json.Num ilp_s);
+                     ("best_single", Json.Str best_single);
+                     ("best_single_s", Json.Num best_single_s);
+                     ("race_seq_s", Json.Num race_s);
+                     ("winner", Json.Str winner);
+                     ("incumbents", Json.int !incumbents);
+                     ("ilp_nodes_seeded", Json.int ilp_row.Sweep.nodes);
+                     ("ilp_nodes_unseeded", Json.int unseeded_row.Sweep.nodes);
+                     ( "constrained",
+                       Json.Bool (constraints <> Problem.no_constraints) );
+                     ("identical", Json.Bool identical) ] ))
+             widths)
+         workloads)
   in
   print_string
     (Table.render
        ~headers:
          [ "soc"; "nb"; "W"; "T_opt"; "exact s"; "ilp s"; "race s";
            "winner"; "incumb"; "nodes seed"; "nodes free"; "identical" ]
-       rows);
-  let race_total =
-    List.fold_left (fun a m -> a +. m.rm_race_seq_s) 0.0 measurements
-  in
-  let best_total =
-    List.fold_left (fun a m -> a +. m.rm_best_single_s) 0.0 measurements
-  in
-  let seeded =
-    List.fold_left (fun a m -> a + m.rm_nodes_seeded) 0 measurements
-  in
-  let unseeded =
-    List.fold_left (fun a m -> a + m.rm_nodes_unseeded) 0 measurements
-  in
+       table);
   Printf.printf
     "\nrace summary: %.3f s racing vs %.3f s for the best single \
      certifying engine (+%.1f ms fixed portfolio overhead); seeded MILP \
      explored %d nodes vs %d unseeded (%d saved)\n"
-    race_total best_total
-    ((race_total -. best_total) *. 1000.)
-    seeded unseeded (unseeded - seeded);
-  if List.exists (fun m -> not m.rm_identical) measurements then
+    !race_total !best_total
+    ((!race_total -. !best_total) *. 1000.)
+    !seeded !unseeded (!unseeded - !seeded);
+  let count w = List.length (List.filter (( = ) w) !winners) in
+  record sweep_doc
+    [ ( "race",
+        Json.Obj
+          [ ("workloads", Json.Arr cells);
+            ("race_seq_total_s", Json.Num !race_total);
+            ("best_single_total_s", Json.Num !best_total);
+            ( "winners",
+              Json.Obj
+                (List.map
+                   (fun w -> (w, Json.int (count w)))
+                   (List.sort_uniq compare !winners)) );
+            ("ilp_nodes_seeded", Json.int !seeded);
+            ("ilp_nodes_unseeded", Json.int !unseeded);
+            ("all_identical", Json.Bool !all_identical) ] ) ];
+  if not !all_identical then
     print_endline "!! race certified a value the single engines disagree with";
-  if seeded >= unseeded then
+  if !seeded >= !unseeded then
     print_endline "!! incumbent seeding failed to prune any B&B nodes"
 
 (* ------------------------------------------------------------------ *)
@@ -1663,17 +1644,6 @@ let table_e11 () =
 (* request into must cost nanoseconds, and its quantiles must track an *)
 (* exact sort. The CI budget asserts record_ns <= 100 and the quantile *)
 (* errors <= 2% from the JSON this block emits.                        *)
-
-type telemetry_measurement = {
-  tm_samples : int;
-  tm_record_ns : float;
-  tm_p50_err : float;
-  tm_p99_err : float;
-  tm_p999_err : float;
-  tm_log_ns : float;
-}
-
-let e12_telemetry : telemetry_measurement option ref = ref None
 
 let table_e12 () =
   section "E12" "telemetry overhead: histogram record cost and accuracy";
@@ -1712,14 +1682,6 @@ let table_e12 () =
   done;
   let log_ns = (Clock.now_s () -. t0) *. 1e9 /. float_of_int log_events in
   Log.close log;
-  e12_telemetry :=
-    Some
-      { tm_samples = n;
-        tm_record_ns = record_ns;
-        tm_p50_err = p50_err;
-        tm_p99_err = p99_err;
-        tm_p999_err = p999_err;
-        tm_log_ns = log_ns };
   print_string
     (Table.render
        ~aligns:[ Table.Left; Table.Right; Table.Right ]
@@ -1739,32 +1701,21 @@ let table_e12 () =
   Printf.printf
     "%d samples recorded; quantile error bound by bucket geometry is \
      1/128 = 0.78%%\n"
-    n
+    n;
+  record sweep_doc
+    [ ( "telemetry",
+        Json.Obj
+          [ ("samples", Json.int n);
+            ("record_ns", Json.Num record_ns);
+            ("p50_rel_err", Json.Num p50_err);
+            ("p99_rel_err", Json.Num p99_err);
+            ("p999_rel_err", Json.Num p999_err);
+            ("log_event_ns", Json.Num log_ns) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E13: rectangle packing vs the fixed-bus partition model — the       *)
 (* makespan the flexible-wire formulation saves, the exact packer's    *)
 (* certification effort, and the pack race's jobs-independence.        *)
-
-type pack_measurement = {
-  pm_soc : string;
-  pm_num_buses : int;
-  pm_width : int;
-  pm_p_max : float option;
-  pm_partition_t : int option;
-  pm_pack_t : int option;
-  pm_lb : int;
-  pm_winner : string;
-  pm_certificate : string;
-  pm_incumbents : int;
-  pm_nodes : int;
-  pm_bound_applies : bool;
-  pm_pack_le_partition : bool;
-  pm_exact_s : float;
-  pm_pack_s : float;
-}
-
-let e13_measurements : pack_measurement list ref = ref []
 
 let table_e13 () =
   section "E13"
@@ -1784,390 +1735,118 @@ let table_e13 () =
       [ (Benchmarks.random ~seed:5 ~num_cores:4 (), 2, [ 6 ], false);
         (Benchmarks.random ~seed:5 ~num_cores:4 (), 2, [ 6 ], true) ]
   in
-  let measurements =
-    List.concat_map
-      (fun (soc, num_buses, widths, envelope) ->
-        List.map
-          (fun w ->
-            let problem = Problem.make soc ~num_buses ~total_width:w in
-            let p_max_mw =
-              if envelope then
-                Some (Pack.effective_budget problem ~p_max_mw:0.0 *. 1.3)
-              else None
-            in
-            let t0 = Clock.now_s () in
-            let exact_row =
-              Sweep.solve_one
-                (List.hd (Sweep.cells soc ~num_buses ~widths:[ w ]))
-            in
-            let exact_s = Clock.elapsed_s ~since:t0 in
-            let partition_t = Option.map snd exact_row.Sweep.solution in
-            let incumbents = ref 0 in
-            let t1 = Clock.now_s () in
-            let r =
-              Race.solve_pack ?p_max_mw
-                ~on_event:(fun _ -> incr incumbents)
-                problem
-            in
-            let pack_s = Clock.elapsed_s ~since:t1 in
-            let pack_t =
-              Option.map
-                (fun (p : Rect_sched.t) -> p.Rect_sched.makespan)
-                r.Race.packing
-            in
-            let bound_applies =
-              match exact_row.Sweep.solution with
-              | None -> false
-              | Some (arch, _) -> (
-                  match
-                    Pack.validate ?p_max_mw problem
-                      (Rect_sched.of_architecture problem arch)
-                  with
-                  | Ok () -> true
-                  | Error _ -> false)
-            in
-            let pack_le_partition =
-              match (pack_t, partition_t) with
-              | Some p, Some t -> (not bound_applies) || p <= t
-              | _ -> false
-            in
-            { pm_soc = Soc.name soc;
-              pm_num_buses = num_buses;
-              pm_width = w;
-              pm_p_max = p_max_mw;
-              pm_partition_t = partition_t;
-              pm_pack_t = pack_t;
-              pm_lb = r.Race.lower_bound;
-              pm_winner = Option.value ~default:"-" r.Race.winner;
-              pm_certificate = Option.value ~default:"-" r.Race.certificate;
-              pm_incumbents = !incumbents;
-              pm_nodes = r.Race.nodes;
-              pm_bound_applies = bound_applies;
-              pm_pack_le_partition = pack_le_partition;
-              pm_exact_s = exact_s;
-              pm_pack_s = pack_s })
-          widths)
-      workloads
-  in
-  e13_measurements := measurements;
-  let rows =
-    List.map
-      (fun m ->
-        [ m.pm_soc;
-          string_of_int m.pm_num_buses;
-          string_of_int m.pm_width;
-          (match m.pm_p_max with
-          | Some p -> Printf.sprintf "%.0f" p
-          | None -> "-");
-          fmt_time_opt m.pm_partition_t;
-          fmt_time_opt m.pm_pack_t;
-          string_of_int m.pm_lb;
-          m.pm_winner;
-          m.pm_certificate;
-          string_of_int m.pm_incumbents;
-          string_of_int m.pm_nodes;
-          (if m.pm_pack_le_partition then "yes" else "NO") ])
-      measurements
+  let saved = ref 0 and nodes = ref 0 and certified = ref 0 in
+  let all_le_partition = ref true in
+  let table, cells =
+    List.split
+      (List.concat_map
+         (fun (soc, num_buses, widths, envelope) ->
+           List.map
+             (fun w ->
+               let problem = Problem.make soc ~num_buses ~total_width:w in
+               let p_max_mw =
+                 if envelope then
+                   Some (Pack.effective_budget problem ~p_max_mw:0.0 *. 1.3)
+                 else None
+               in
+               let t0 = Clock.now_s () in
+               let exact_row =
+                 Sweep.solve_one
+                   (List.hd (Sweep.cells soc ~num_buses ~widths:[ w ]))
+               in
+               let exact_s = Clock.elapsed_s ~since:t0 in
+               let partition_t = Option.map snd exact_row.Sweep.solution in
+               let incumbents = ref 0 in
+               let t1 = Clock.now_s () in
+               let r =
+                 Race.solve_pack ?p_max_mw
+                   ~on_event:(fun _ -> incr incumbents)
+                   problem
+               in
+               let pack_s = Clock.elapsed_s ~since:t1 in
+               let pack_t =
+                 Option.map
+                   (fun (p : Rect_sched.t) -> p.Rect_sched.makespan)
+                   r.Race.packing
+               in
+               let bound_applies =
+                 match exact_row.Sweep.solution with
+                 | None -> false
+                 | Some (arch, _) -> (
+                     match
+                       Pack.validate ?p_max_mw problem
+                         (Rect_sched.of_architecture problem arch)
+                     with
+                     | Ok () -> true
+                     | Error _ -> false)
+               in
+               let pack_le_partition =
+                 match (pack_t, partition_t) with
+                 | Some p, Some t -> (not bound_applies) || p <= t
+                 | _ -> false
+               in
+               let winner = Option.value ~default:"-" r.Race.winner in
+               let certificate =
+                 Option.value ~default:"-" r.Race.certificate
+               in
+               (match (partition_t, pack_t) with
+               | Some t, Some p when bound_applies -> saved := !saved + (t - p)
+               | _ -> ());
+               nodes := !nodes + r.Race.nodes;
+               if certificate = "exact" then incr certified;
+               all_le_partition := !all_le_partition && pack_le_partition;
+               ( [ Soc.name soc;
+                   string_of_int num_buses;
+                   string_of_int w;
+                   (match p_max_mw with
+                   | Some p -> Printf.sprintf "%.0f" p
+                   | None -> "-");
+                   fmt_time_opt partition_t;
+                   fmt_time_opt pack_t;
+                   string_of_int r.Race.lower_bound;
+                   winner;
+                   certificate;
+                   string_of_int !incumbents;
+                   string_of_int r.Race.nodes;
+                   yes_no pack_le_partition ],
+                 Json.Obj
+                   [ ("soc", Json.Str (Soc.name soc));
+                     ("num_buses", Json.int num_buses);
+                     ("total_width", Json.int w);
+                     ("p_max_mw", json_opt (fun p -> Json.Num p) p_max_mw);
+                     ("partition_t", json_opt Json.int partition_t);
+                     ("pack_t", json_opt Json.int pack_t);
+                     ("lower_bound", Json.int r.Race.lower_bound);
+                     ("winner", Json.Str winner);
+                     ("certificate", Json.Str certificate);
+                     ("incumbents", Json.int !incumbents);
+                     ("nodes", Json.int r.Race.nodes);
+                     ("bound_applies", Json.Bool bound_applies);
+                     ("pack_le_partition", Json.Bool pack_le_partition);
+                     ("exact_s", Json.Num exact_s);
+                     ("pack_s", Json.Num pack_s) ] ))
+             widths)
+         workloads)
   in
   print_string
     (Table.render
        ~headers:
          [ "soc"; "nb"; "W"; "p_max"; "T_part"; "T_pack"; "lb"; "winner";
            "cert"; "incumb"; "nodes"; "pack<=part" ]
-       rows);
-  let saved =
-    List.fold_left
-      (fun a m ->
-        match (m.pm_partition_t, m.pm_pack_t) with
-        | Some t, Some p when m.pm_bound_applies -> a + (t - p)
-        | _ -> a)
-      0 measurements
-  in
+       table);
   Printf.printf
     "\npack summary: %d cycles saved vs the partition optimum across %d \
      cell(s); %d exact-packer nodes total\n"
-    saved (List.length measurements)
-    (List.fold_left (fun a m -> a + m.pm_nodes) 0 measurements);
-  if List.exists (fun m -> not m.pm_pack_le_partition) measurements then
+    !saved (List.length cells) !nodes;
+  record sweep_doc
+    [ ( "pack",
+        Json.Obj
+          [ ("workloads", Json.Arr cells);
+            ("pack_le_partition_all", Json.Bool !all_le_partition);
+            ("certified", Json.int !certified);
+            ("exact_nodes", Json.int !nodes) ] ) ];
+  if not !all_le_partition then
     print_endline "!! a packing lost to the partition optimum it subsumes"
-
-let service_json_path = flag_value "--service-json"
-
-let write_service_json path =
-  match !e10_measurement with
-  | None -> ()
-  | Some m ->
-      let t = Unix.gmtime (Unix.time ()) in
-      (* Percentiles through the same log-bucket histogram the daemon
-         uses, so the recorded numbers carry its (bounded) bucketing
-         error and its p999. *)
-      let latency samples =
-        let snap = Hist.of_samples samples in
-        let q x = Json.Num (Hist.quantile snap x) in
-        Json.Obj
-          [ ("count", Json.int (Array.length samples));
-            ("p50_ms", q 0.50);
-            ("p95_ms", q 0.95);
-            ("p99_ms", q 0.99);
-            ("p999_ms", q 0.999) ]
-      in
-      let doc =
-        Json.Obj
-          ([ ( "recorded_utc",
-              Json.Str
-                (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ"
-                   (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-                   t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-                   t.Unix.tm_sec) );
-            ("experiment", Json.Str "E10");
-            ("jobs", Json.int jobs);
-            ("requests", Json.int m.sv_requests);
-            ("concurrency", Json.int m.sv_concurrency);
-            ("distinct_instances", Json.int m.sv_distinct);
-            ("wall_s", Json.Num m.sv_wall_s);
-            ("throughput_rps", Json.Num m.sv_throughput_rps);
-            ("completed", Json.int m.sv_completed);
-            ("errors", Json.int m.sv_errors);
-            ( "shed_rate",
-              Json.Num
-                (float_of_int m.sv_overload_shed
-                /. float_of_int (max 1 m.sv_overload_requests)) );
-            ( "latency",
-              Json.Obj
-                ([ ("hit", latency m.sv_hit_lat);
-                   ("miss", latency m.sv_miss_lat) ]
-                @
-                match !e14_measurement with
-                | Some e -> [ ("store_hit", latency e.stm_store_lat) ]
-                | None -> []) );
-            ( "overload",
-              Json.Obj
-                [ ("requests", Json.int m.sv_overload_requests);
-                  ("completed", Json.int m.sv_overload_completed);
-                  ("shed", Json.int m.sv_overload_shed);
-                  ( "unaccounted",
-                    Json.int
-                      (m.sv_overload_requests - m.sv_overload_completed
-                     - m.sv_overload_shed) ) ] );
-            ("service_stats", m.sv_stats) ]
-          @
-          match !e14_measurement with
-          | None -> []
-          | Some e ->
-              [ ( "store",
-                  Json.Obj
-                    [ ("distinct_instances", Json.int e.stm_distinct);
-                      ("records", Json.int e.stm_records);
-                      ("bytes", Json.int e.stm_bytes);
-                      ("cold_open_ms", Json.Num e.stm_reopen_ms);
-                      ( "latency",
-                        Json.Obj
-                          [ ("miss", latency e.stm_miss_lat);
-                            ("lru_hit", latency e.stm_lru_lat);
-                            ("store_hit", latency e.stm_store_lat) ] ) ]
-                ) ])
-      in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Json.to_string_pretty doc))
-
-(* ------------------------------------------------------------------ *)
-(* Combined JSON document: E8 sweeps (rows in the tamopt sweep --json
-   schema) plus the E9 overhead block.                                 *)
-
-let write_json path =
-  let t = Unix.gmtime (Unix.time ()) in
-  let measurements = !e8_measurements in
-  let seq_total = List.fold_left (fun a m -> a +. m.sm_seq_s) 0.0 measurements in
-  let par_total = List.fold_left (fun a m -> a +. m.sm_par_s) 0.0 measurements in
-  let sweeps =
-    List.map
-      (fun m ->
-        Json.Obj
-          [ ("soc", Json.Str m.sm_soc);
-            ("num_buses", Json.int m.sm_num_buses);
-            ("solver", Json.Str m.sm_solver);
-            ("cells", Json.int m.sm_cells);
-            ("nodes", Json.int m.sm_nodes);
-            ("lp_pivots", Json.int m.sm_lp_pivots);
-            ("warm_starts", Json.int m.sm_warm);
-            ("cold_solves", Json.int m.sm_cold);
-            ("refactorizations", Json.int m.sm_refactor);
-            ("cuts_added", Json.int m.sm_cuts);
-            ("presolve_fixed", Json.int m.sm_fixed);
-            ("seq_s", Json.Num m.sm_seq_s);
-            ("par_s", Json.Num m.sm_par_s);
-            ("speedup", Json.Num (m.sm_seq_s /. m.sm_par_s));
-            ("identical", Json.Bool m.sm_identical);
-            ("rows", Json.Arr (List.map Sweep.json_of_row m.sm_rows)) ])
-      measurements
-  in
-  let race =
-    match !e11_measurements with
-    | [] -> []
-    | ms ->
-        let winners =
-          List.fold_left
-            (fun acc m ->
-              match List.assoc_opt m.rm_winner acc with
-              | Some n ->
-                  (m.rm_winner, n + 1) :: List.remove_assoc m.rm_winner acc
-              | None -> (m.rm_winner, 1) :: acc)
-            [] ms
-          |> List.sort compare
-        in
-        let sum_f f = List.fold_left (fun a m -> a +. f m) 0.0 ms in
-        let sum_i f = List.fold_left (fun a m -> a + f m) 0 ms in
-        [ ( "race",
-            Json.Obj
-              [ ( "workloads",
-                  Json.Arr
-                    (List.map
-                       (fun m ->
-                         Json.Obj
-                           [ ("soc", Json.Str m.rm_soc);
-                             ("num_buses", Json.int m.rm_num_buses);
-                             ("total_width", Json.int m.rm_width);
-                             ( "test_time",
-                               match m.rm_test_time with
-                               | Some t -> Json.int t
-                               | None -> Json.Null );
-                             ("exact_s", Json.Num m.rm_exact_s);
-                             ("ilp_s", Json.Num m.rm_ilp_s);
-                             ("best_single", Json.Str m.rm_best_single);
-                             ("best_single_s", Json.Num m.rm_best_single_s);
-                             ("race_seq_s", Json.Num m.rm_race_seq_s);
-                             ("winner", Json.Str m.rm_winner);
-                             ("incumbents", Json.int m.rm_incumbents);
-                             ( "ilp_nodes_seeded",
-                               Json.int m.rm_nodes_seeded );
-                             ( "ilp_nodes_unseeded",
-                               Json.int m.rm_nodes_unseeded );
-                             ("constrained", Json.Bool m.rm_constrained);
-                             ("identical", Json.Bool m.rm_identical) ])
-                       ms) );
-                ("race_seq_total_s", Json.Num (sum_f (fun m -> m.rm_race_seq_s)));
-                ( "best_single_total_s",
-                  Json.Num (sum_f (fun m -> m.rm_best_single_s)) );
-                ( "winners",
-                  Json.Obj (List.map (fun (k, n) -> (k, Json.int n)) winners) );
-                ( "ilp_nodes_seeded",
-                  Json.int (sum_i (fun m -> m.rm_nodes_seeded)) );
-                ( "ilp_nodes_unseeded",
-                  Json.int (sum_i (fun m -> m.rm_nodes_unseeded)) );
-                ( "all_identical",
-                  Json.Bool (List.for_all (fun m -> m.rm_identical) ms) ) ] )
-        ]
-  in
-  let obs =
-    match !e9_overhead with
-    | None -> []
-    | Some o ->
-        [ ( "obs",
-            Json.Obj
-              [ ("disabled_s", Json.Num o.ov_disabled_s);
-                ("enabled_s", Json.Num o.ov_enabled_s);
-                ("events_per_run", Json.int o.ov_events);
-                ("counter_updates_per_run", Json.int o.ov_counter_updates);
-                ("probe_ns", Json.Num o.ov_probe_ns);
-                ("disabled_overhead_pct", Json.Num o.ov_disabled_pct) ] ) ]
-  in
-  let pack =
-    match !e13_measurements with
-    | [] -> []
-    | ms ->
-        [ ( "pack",
-            Json.Obj
-              [ ( "workloads",
-                  Json.Arr
-                    (List.map
-                       (fun m ->
-                         Json.Obj
-                           [ ("soc", Json.Str m.pm_soc);
-                             ("num_buses", Json.int m.pm_num_buses);
-                             ("total_width", Json.int m.pm_width);
-                             ( "p_max_mw",
-                               match m.pm_p_max with
-                               | Some p -> Json.Num p
-                               | None -> Json.Null );
-                             ( "partition_t",
-                               match m.pm_partition_t with
-                               | Some t -> Json.int t
-                               | None -> Json.Null );
-                             ( "pack_t",
-                               match m.pm_pack_t with
-                               | Some t -> Json.int t
-                               | None -> Json.Null );
-                             ("lower_bound", Json.int m.pm_lb);
-                             ("winner", Json.Str m.pm_winner);
-                             ("certificate", Json.Str m.pm_certificate);
-                             ("incumbents", Json.int m.pm_incumbents);
-                             ("nodes", Json.int m.pm_nodes);
-                             ("bound_applies", Json.Bool m.pm_bound_applies);
-                             ( "pack_le_partition",
-                               Json.Bool m.pm_pack_le_partition );
-                             ("exact_s", Json.Num m.pm_exact_s);
-                             ("pack_s", Json.Num m.pm_pack_s) ])
-                       ms) );
-                ( "pack_le_partition_all",
-                  Json.Bool (List.for_all (fun m -> m.pm_pack_le_partition) ms)
-                );
-                ( "certified",
-                  Json.int
-                    (List.length
-                       (List.filter
-                          (fun m -> m.pm_certificate = "exact")
-                          ms)) );
-                ( "exact_nodes",
-                  Json.int (List.fold_left (fun a m -> a + m.pm_nodes) 0 ms) )
-              ] )
-        ]
-  in
-  let telemetry =
-    match !e12_telemetry with
-    | None -> []
-    | Some tm ->
-        [ ( "telemetry",
-            Json.Obj
-              [ ("samples", Json.int tm.tm_samples);
-                ("record_ns", Json.Num tm.tm_record_ns);
-                ("p50_rel_err", Json.Num tm.tm_p50_err);
-                ("p99_rel_err", Json.Num tm.tm_p99_err);
-                ("p999_rel_err", Json.Num tm.tm_p999_err);
-                ("log_event_ns", Json.Num tm.tm_log_ns) ] ) ]
-  in
-  let doc =
-    Json.Obj
-      ([ ( "recorded_utc",
-           Json.Str
-             (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ"
-                (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1) t.Unix.tm_mday
-                t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec) );
-         ("domains_available", Json.int (Domain.recommended_domain_count ()));
-         ("jobs", Json.int jobs);
-         ("quick", Json.Bool quick);
-         ("sweeps", Json.Arr sweeps);
-         ("seq_total_s", Json.Num seq_total);
-         ("par_total_s", Json.Num par_total);
-         ("speedup", Json.Num (seq_total /. par_total));
-         ( "total_lp_pivots",
-           Json.int
-             (List.fold_left (fun a m -> a + m.sm_lp_pivots) 0 measurements) );
-         ( "total_warm_starts",
-           Json.int (List.fold_left (fun a m -> a + m.sm_warm) 0 measurements) );
-         ( "total_cold_solves",
-           Json.int (List.fold_left (fun a m -> a + m.sm_cold) 0 measurements) );
-         ( "total_refactorizations",
-           Json.int
-             (List.fold_left (fun a m -> a + m.sm_refactor) 0 measurements) );
-         ( "total_cuts_added",
-           Json.int (List.fold_left (fun a m -> a + m.sm_cuts) 0 measurements) );
-         ( "total_presolve_fixed",
-           Json.int (List.fold_left (fun a m -> a + m.sm_fixed) 0 measurements) ) ]
-      @ race @ pack @ obs @ telemetry)
-  in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty doc));
-  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment family.     *)
@@ -2297,8 +1976,10 @@ let () =
     table_e12 ();
     bechamel_section ()
   end;
-  (match json_path with Some path -> write_json path | None -> ());
-  (match service_json_path with
-  | Some path -> write_service_json path
-  | None -> ());
+  Option.iter
+    (fun path ->
+      write_doc path sweep_doc;
+      Printf.printf "wrote %s\n" path)
+    json_path;
+  Option.iter (fun path -> write_doc path service_doc) service_json_path;
   Printf.printf "\ntotal harness time: %.1f s\n" (Clock.elapsed_s ~since:t0)

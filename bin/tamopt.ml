@@ -4,14 +4,11 @@
 module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
 module Cost = Soctam_core.Cost
-module Exact = Soctam_core.Exact
 module Ilp = Soctam_core.Ilp_formulation
-module Heuristics = Soctam_core.Heuristics
 module Verify = Soctam_core.Verify
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 module Test_time = Soctam_soc.Test_time
-module Benchmarks = Soctam_soc.Benchmarks
 module Floorplan = Soctam_layout.Floorplan
 module Routing = Soctam_layout.Routing
 module Layout_conflicts = Soctam_layout.Conflicts
@@ -25,7 +22,6 @@ module Pack_solver = Soctam_pack.Pack
 module Table = Soctam_report.Table
 module Pool = Soctam_engine.Pool
 module Sweep = Soctam_engine.Sweep
-module Race = Soctam_engine.Race
 module Obs = Soctam_obs.Obs
 module Clock = Soctam_obs.Clock
 module Trace = Soctam_obs.Trace
@@ -43,59 +39,35 @@ module Proto_fuzz = Soctam_check.Proto_fuzz
 module Corpus = Soctam_check.Corpus
 module Store_torture = Soctam_check.Store_torture
 
-let lookup_soc = function
-  | "s1" | "S1" -> Benchmarks.s1 ()
-  | "s2" | "S2" -> Benchmarks.s2 ()
-  | "s3" | "S3" -> Benchmarks.s3 ()
-  | spec -> (
-      (* "rnd:<seed>:<cores>" builds a reproducible random SOC;
-         "file:<path>" loads a textual description (see Soc_file). *)
-      match String.split_on_char ':' spec with
-      | [ "rnd"; seed; n ] -> (
-          match (int_of_string_opt seed, int_of_string_opt n) with
-          | Some seed, Some n -> Benchmarks.random ~seed ~num_cores:n ()
-          | _ ->
-              raise
-                (Invalid_argument
-                   "rnd:<seed>:<n> takes two integers"))
-      | "file" :: rest -> (
-          let path = String.concat ":" rest in
-          match Soctam_soc.Soc_file.of_file path with
-          | Ok soc -> soc
-          | Error msg ->
-              raise
-                (Invalid_argument (Printf.sprintf "%s: %s" path msg)))
-      | _ ->
-          raise
-            (Invalid_argument
-               (Printf.sprintf
-                  "unknown SOC %S (use s1, s2, s3, rnd:<seed>:<n> or \
-                   file:<path>)" spec)))
+(* Commands report a bad argument by raising [Invalid_argument], which
+   each [run] prints as "error: …" with exit status 2. *)
+let get_ok = function Ok v -> v | Error msg -> raise (Invalid_argument msg)
+
+(* Instances are read with the wire's parsers, so [--soc], [--solver]
+   and [--model] accept exactly what a tamoptd request does. *)
+let lookup_soc spec = get_ok (Protocol.resolve_soc (Protocol.Named spec))
+
+let parse_solver name =
+  match Protocol.solver_of_string name with
+  | Ok solver -> solver
+  | Error _ ->
+      raise (Invalid_argument (Printf.sprintf "unknown solver %S" name))
+
+let parse_model name =
+  get_ok (Result.map_error (( ^ ) "--model ") (Protocol.model_of_string name))
+
+let parse_widths list =
+  List.map
+    (fun word ->
+      match int_of_string_opt (String.trim word) with
+      | Some w -> w
+      | None ->
+          raise (Invalid_argument (Printf.sprintf "%S is not a width" word)))
+    (String.split_on_char ',' list)
 
 let build_problem soc ~num_buses ~total_width ~model ~d_max ~p_max =
-  let time_model =
-    match model with
-    | "serialization" -> Test_time.Serialization
-    | "scan" -> Test_time.Scan_distribution
-    | other ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "unknown time model %S" other))
-  in
-  let exclusion_pairs =
-    match d_max with
-    | None -> []
-    | Some budget ->
-        let fp = Floorplan.place soc in
-        Layout_conflicts.exclusion_pairs fp ~d_max_mm:budget
-  in
-  let co_pairs =
-    match p_max with
-    | None -> []
-    | Some budget -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:budget
-  in
-  Problem.make ~time_model
-    ~constraints:{ Problem.exclusion_pairs; co_pairs }
+  Problem.make ~time_model:(parse_model model)
+    ~constraints:(Protocol.constraints_of ~d_max_mm:d_max ~p_max_mw:p_max soc)
     soc ~num_buses ~total_width
 
 let print_solution problem soc solution ~show_gantt =
@@ -296,19 +268,17 @@ let no_seed_arg =
 
 let sweep_solver_of_string ?ilp_time_limit ?(no_presolve = false)
     ?(no_cuts = false) ?(no_seed = false) ?p_max solver =
-  match solver with
-  | "exact" -> Sweep.Exact
-  | "ilp" ->
+  match parse_solver solver with
+  | Protocol.Exact -> Sweep.Exact
+  | Protocol.Ilp ->
       Sweep.Ilp
         { time_limit_s = ilp_time_limit;
           presolve = not no_presolve;
           cuts = not no_cuts;
           seed = not no_seed }
-  | "heuristic" -> Sweep.Heuristic
-  | "race" -> Sweep.Race
-  | "pack" -> Sweep.Pack { p_max_mw = p_max }
-  | other ->
-      raise (Invalid_argument (Printf.sprintf "unknown solver %S" other))
+  | Protocol.Heuristic -> Sweep.Heuristic
+  | Protocol.Race -> Sweep.Race
+  | Protocol.Pack -> Sweep.Pack { p_max_mw = p_max }
 
 (* The rows+totals document shared by solve --json, sweep --json and
    the tamoptd responses. *)
@@ -461,15 +431,7 @@ let sweep_cmd =
       no_cuts no_seed jobs trace profile json_path =
     try
       let soc = lookup_soc soc_name in
-      let parse_width word =
-        match int_of_string_opt (String.trim word) with
-        | Some w -> w
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "%S is not a width" word))
-      in
-      let widths = List.map parse_width (String.split_on_char ',' widths) in
+      let widths = parse_widths widths in
       (* Reuse the constraint/model plumbing of [build_problem] for the
          sweep cells: derive pairs once, sweep over widths in parallel. *)
       let probe =
@@ -601,15 +563,7 @@ let plan_cmd =
   let run soc_name num_buses widths =
     try
       let soc = lookup_soc soc_name in
-      let parse_width word =
-        match int_of_string_opt (String.trim word) with
-        | Some w -> w
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "%S is not a width" word))
-      in
-      let widths = List.map parse_width (String.split_on_char ',' widths) in
+      let widths = parse_widths widths in
       let curve = Soctam_plan.Tradeoff.curve soc ~num_buses ~widths in
       let pareto = Soctam_plan.Tradeoff.pareto curve in
       print_string
@@ -785,26 +739,8 @@ let load_cmd =
       if concurrency < 1 then raise (Invalid_argument "--concurrency < 1");
       if hit_ratio < 0.0 || hit_ratio > 1.0 then
         raise (Invalid_argument "--hit-ratio outside [0,1]");
-      let solver =
-        match solver with
-        | "exact" -> Protocol.Exact
-        | "ilp" -> Protocol.Ilp
-        | "heuristic" -> Protocol.Heuristic
-        | "race" -> Protocol.Race
-        | "pack" -> Protocol.Pack
-        | other ->
-            raise
-              (Invalid_argument (Printf.sprintf "unknown solver %S" other))
-      in
-      let time_model =
-        match model with
-        | "serialization" -> Test_time.Serialization
-        | "scan" -> Test_time.Scan_distribution
-        | other ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "unknown time model %S" other))
-      in
+      let solver = parse_solver solver in
+      let time_model = parse_model model in
       let distinct =
         max 1
           (int_of_float

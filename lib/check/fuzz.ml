@@ -13,7 +13,7 @@ type outcome = {
 }
 
 let run ?(log = fun _ -> ()) ?(fault = Oracle.No_fault) ?(shrink = false)
-    ?corpus_dir ?min_cores ?max_cores ?pack_bias ?(presolve = true)
+    ?corpus_dir ?max_cores ?pack_bias ?(presolve = true)
     ?(cuts = true) ~seed ~budget () =
   if budget < 0 then invalid_arg "Fuzz.run: budget < 0";
   let check = Oracle.check ~fault ~presolve ~cuts in
@@ -27,7 +27,7 @@ let run ?(log = fun _ -> ()) ?(fault = Oracle.No_fault) ?(shrink = false)
         log (Printf.sprintf "fuzz: %d/%d clean" i budget);
       let fuzz_seed = seed + i in
       let spec =
-        Gen.spec_of_seed ?min_cores ?max_cores ?pack_bias ~seed:fuzz_seed ()
+        Gen.spec_of_seed ?max_cores ?pack_bias ~seed:fuzz_seed ()
       in
       let instance = Gen.instance_of_spec spec in
       match check instance with

@@ -27,8 +27,8 @@ type outcome = {
     [log] (default: silent). [fault] injects an artificial solver bug
     (harness self-test); [shrink] (default [false]) minimizes a
     failure before reporting; [corpus_dir] persists the (possibly
-    shrunk) repro. [min_cores]/[max_cores] bound the generated SOCs,
-    and [pack_bias] stresses the rectangle-packing family with wider
+    shrunk) repro. [max_cores] bounds the generated SOCs, and
+    [pack_bias] stresses the rectangle-packing family with wider
     budgets, extra co-pairs and power envelopes
     (defaults as {!Gen.spec_of_seed}). [presolve]/[cuts] (default
     [true]) are forwarded to {!Oracle.check}: a batch with them off
@@ -38,7 +38,6 @@ val run :
   ?fault:Oracle.fault ->
   ?shrink:bool ->
   ?corpus_dir:string ->
-  ?min_cores:int ->
   ?max_cores:int ->
   ?pack_bias:bool ->
   ?presolve:bool ->

@@ -29,11 +29,9 @@ type spec = {
    explicit recursion (never [List.init]) so the draw order — and hence
    the spec — is pinned down exactly, independent of stdlib evaluation
    order. *)
-let spec_of_seed ?(min_cores = 2) ?(max_cores = 6) ?(pack_bias = false)
-    ~seed () =
-  if min_cores < 1 then invalid_arg "Gen.spec_of_seed: min_cores < 1";
-  if max_cores < min_cores then
-    invalid_arg "Gen.spec_of_seed: max_cores < min_cores";
+let spec_of_seed ?(max_cores = 6) ?(pack_bias = false) ~seed () =
+  let min_cores = 2 in
+  if max_cores < min_cores then invalid_arg "Gen.spec_of_seed: max_cores < 2";
   let st = Random.State.make [| seed; 0xf0a2 |] in
   let int_in lo hi = lo + Random.State.int st (hi - lo + 1) in
   let soc_seed = Random.State.int st 10_001 in

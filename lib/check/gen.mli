@@ -56,11 +56,9 @@ type spec = {
     to 2 extra co-assignment pairs and an instantaneous power envelope
     ([p_max_pct] in \[10, 90\]); the unbiased draws are unchanged, so
     seed -> spec under the default is byte-identical to before the knob
-    existed. Raises [Invalid_argument] when [min_cores < 1] or
-    [max_cores < min_cores]. *)
+    existed. Raises [Invalid_argument] when [max_cores < 2]. *)
 val spec_of_seed :
-  ?min_cores:int -> ?max_cores:int -> ?pack_bias:bool -> seed:int -> unit ->
-  spec
+  ?max_cores:int -> ?pack_bias:bool -> seed:int -> unit -> spec
 
 (** One-line rendering, e.g. [{seed=17 n=4 nb=2 W=6 excl=[0,3] co=[]}]. *)
 val spec_print : spec -> string

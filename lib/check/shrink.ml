@@ -104,7 +104,9 @@ let candidates (inst : Gen.instance) =
   drops @ collapse_width @ fewer_buses @ fewer_excl @ fewer_co @ drop_pmax
   @ truncated @ narrower
 
-let shrink ?(max_oracle_calls = 400) ~check ~property inst0 =
+let max_oracle_calls = 400
+
+let shrink ~check ~property inst0 =
   let calls = ref 0 and steps = ref 0 in
   let still_fails inst =
     !calls < max_oracle_calls

@@ -11,10 +11,10 @@
     rather than sliding onto an unrelated failure mid-shrink.
 
     Every accepted edit strictly reduces a finite size measure, so the
-    loop terminates; [max_oracle_calls] additionally bounds the work on
-    adversarial cases. Large edits are tried before small ones (drop a
-    whole core before shaving one wire), which is what gets a 6-core
-    instance down to the 2–3 cores a human can eyeball. *)
+    loop terminates; a budget of 400 oracle calls additionally bounds
+    the work on adversarial cases. Large edits are tried before small
+    ones (drop a whole core before shaving one wire), which is what
+    gets a 6-core instance down to the 2–3 cores a human can eyeball. *)
 
 type result = {
   instance : Gen.instance;  (** The minimized instance (still failing). *)
@@ -25,9 +25,8 @@ type result = {
 (** [shrink ~check ~property inst] minimizes [inst]. [check] is the
     oracle closure (with any injected fault already applied); [property]
     is the failure to preserve. Returns [inst] unchanged when no edit
-    helps. Default [max_oracle_calls] is 400. *)
+    helps. *)
 val shrink :
-  ?max_oracle_calls:int ->
   check:(Gen.instance -> (unit, Oracle.failure) Stdlib.result) ->
   property:string ->
   Gen.instance ->

@@ -502,12 +502,12 @@ type report = {
 type outcome = { executed : int; failure : report option }
 
 let run ?(log = fun _ -> ()) ?(fault = No_fault) ?(shrink = false)
-    ?corpus_dir ?ops_per_case ~seed ~budget () =
+    ?corpus_dir ~seed ~budget () =
   let rec go i =
     if i >= budget then { executed = budget; failure = None }
     else begin
       let case_seed = seed + i in
-      let schedule = schedule_of_seed ?ops:ops_per_case ~fault case_seed in
+      let schedule = schedule_of_seed ~fault case_seed in
       if i mod 50 = 0 then
         log (Printf.sprintf "store torture %d/%d (seed %d)" i budget
                case_seed);

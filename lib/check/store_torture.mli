@@ -108,7 +108,6 @@ val run :
   ?fault:fault ->
   ?shrink:bool ->
   ?corpus_dir:string ->
-  ?ops_per_case:int ->
   seed:int ->
   budget:int ->
   unit ->

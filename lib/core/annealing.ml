@@ -125,8 +125,10 @@ let snapshot st =
   let assignment = Clustering.expand st.clustering st.cluster_bus in
   Architecture.make ~widths:st.widths ~assignment
 
-let solve ?(seed = 1) ?(iterations = 20_000) ?initial_temperature
-    ?(cooling = 0.999) ?(should_stop = fun () -> false)
+(* Geometric cooling factor per iteration. *)
+let cooling = 0.999
+
+let solve ?(seed = 1) ?(iterations = 20_000) ?(should_stop = fun () -> false)
     ?(report = fun _ -> ()) problem =
   match Clustering.build problem with
   | Error _ -> None
@@ -153,11 +155,9 @@ let solve ?(seed = 1) ?(iterations = 20_000) ?initial_temperature
           let current = ref (makespan st) in
           let best = ref !current in
           let best_arch = ref (snapshot st) in
+          (* Start at 5% of the initial makespan. *)
           let temperature =
-            ref
-              (match initial_temperature with
-              | Some t -> t
-              | None -> Float.max 1.0 (0.05 *. float_of_int !current))
+            ref (Float.max 1.0 (0.05 *. float_of_int !current))
           in
           let exception Stop in
           (* Cooperative cancellation: polled once per iteration (the

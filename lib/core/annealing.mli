@@ -10,10 +10,10 @@
 
 type outcome = { architecture : Architecture.t; test_time : int }
 
-(** [solve ?seed ?iterations ?initial_temperature ?cooling problem] runs
-    the annealer from the greedy solution (or a trivial feasible one).
-    Defaults: seed 1, 20_000 iterations, initial temperature set to 5% of
-    the initial makespan, cooling factor 0.999. [None] when no feasible
+(** [solve ?seed ?iterations problem] runs the annealer from the greedy
+    solution (or a trivial feasible one). Defaults: seed 1, 20_000
+    iterations; the initial temperature is 5% of the initial makespan
+    and the cooling factor 0.999. [None] when no feasible
     starting point could be constructed. [should_stop] is polled once
     per iteration; on [true] the loop exits early and the best solution
     found so far is returned. [report] fires on every strictly
@@ -23,8 +23,6 @@ type outcome = { architecture : Architecture.t; test_time : int }
 val solve :
   ?seed:int ->
   ?iterations:int ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
   ?should_stop:(unit -> bool) ->
   ?report:(outcome -> unit) ->
   Problem.t ->

@@ -407,8 +407,7 @@ let strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model =
           sep_pivots = !sep_pivots }
 
 let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
-    ?(node_limit = 500_000) ?time_limit_s ?deadline_s ?(presolve = true)
-    ?(cuts = true) problem =
+    ?time_limit_s ?deadline_s ?(presolve = true) ?(cuts = true) problem =
  Obs.span "ilp.solve" @@ fun () ->
   let start = Clock.now_s () in
   let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
@@ -453,7 +452,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
         Option.map (fun t -> float_of_int (t + 1)) seeded_bound
       in
       let outcome =
-        Branch_bound.solve ~node_limit ?time_limit_s ~integral_objective:true
+        Branch_bound.solve ?time_limit_s ~integral_objective:true
           ?incumbent ~branch_priority:(rp.remap branch_priority)
           rp.search_model
       in
@@ -563,8 +562,8 @@ let build_assignment ?(cuts = false) problem ~widths =
   Model.set_objective model Model.Minimize (Lin_expr.var t_var);
   (model, x)
 
-let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
-    ?(presolve = true) ?(cuts = true) problem ~widths =
+let solve_assignment ?time_limit_s ?deadline_s ?(presolve = true)
+    ?(cuts = true) problem ~widths =
  Obs.span "ilp.solve_assignment" @@ fun () ->
   let start = Clock.now_s () in
   let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
@@ -591,7 +590,7 @@ let solve_assignment ?(node_limit = 500_000) ?time_limit_s ?deadline_s
         stats = presolve_infeasible_stats model ~start ~cuts ~n ~nb excl }
   | Ok rp -> (
       let outcome =
-        Branch_bound.solve ~node_limit ?time_limit_s ~integral_objective:true
+        Branch_bound.solve ?time_limit_s ~integral_objective:true
           rp.search_model
       in
       let finish ?(optimal = true) stats solution =

@@ -89,8 +89,9 @@ val build :
   Problem.t ->
   Soctam_ilp.Model.t * int array array * int array array * int
 
-(** [solve ?formulation ?symmetry_breaking ?seed_incumbent ?node_limit
-    problem] builds and solves the MILP to optimality.
+(** [solve ?formulation ?symmetry_breaking ?seed_incumbent problem]
+    builds and solves the MILP to optimality, within
+    {!Soctam_ilp.Branch_bound.solve}'s default node budget.
     [seed_incumbent] (default [true]) primes branch and bound with the
     heuristic solution's value and keeps its architecture as the
     fallback answer: when the search ends with no point of its own, the
@@ -114,7 +115,6 @@ val solve :
   ?formulation:formulation ->
   ?symmetry_breaking:bool ->
   ?seed_incumbent:bool ->
-  ?node_limit:int ->
   ?time_limit_s:float ->
   ?deadline_s:float ->
   ?presolve:bool ->
@@ -122,7 +122,7 @@ val solve :
   Problem.t ->
   result
 
-(** [solve_assignment ?node_limit ?time_limit_s problem ~widths] solves
+(** [solve_assignment ?time_limit_s problem ~widths] solves
     the assignment-only sub-problem (problem [P1] of the VTS 2000
     companion formulation): bus widths are fixed and only the core
     assignment [x_ij] and the makespan [T] remain. The returned
@@ -130,7 +130,6 @@ val solve :
     [widths] does not match the instance's bus count or width budget.
     [presolve] and [cuts] behave as in {!solve}. *)
 val solve_assignment :
-  ?node_limit:int ->
   ?time_limit_s:float ->
   ?deadline_s:float ->
   ?presolve:bool ->

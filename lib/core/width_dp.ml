@@ -56,7 +56,7 @@ let solve problem ~assignment =
   assert (!remaining = 0);
   { widths; test_time = best.(0).(w) }
 
-let alternate ?(max_rounds = 16) problem ~start =
+let alternate problem ~start =
   let rec loop rounds arch current =
     if rounds = 0 then Some (arch, current)
     else begin
@@ -73,4 +73,4 @@ let alternate ?(max_rounds = 16) problem ~start =
           else loop (rounds - 1) (Architecture.make ~widths ~assignment) t_a
     end
   in
-  loop max_rounds start (Cost.test_time problem start)
+  loop 16 start (Cost.test_time problem start)

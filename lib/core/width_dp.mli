@@ -20,16 +20,15 @@ type outcome = {
     malformed assignment. *)
 val solve : Problem.t -> assignment:int array -> outcome
 
-(** [alternate ?max_rounds problem ~start] alternates the two exact
+(** [alternate problem ~start] alternates the two exact
     sub-problem solvers — optimal widths for the current assignment
     ({!solve}), then optimal assignment for the current widths
     ({!Dp_assign.solve}) — until a fixpoint, starting from architecture
     [start]. The result never has a larger test time than [start].
     [None] if the assignment step ever becomes infeasible (cannot happen
-    when [start] satisfies the instance's constraints). Default
-    [max_rounds] is 16. *)
+    when [start] satisfies the instance's constraints). At most 16
+    rounds run. *)
 val alternate :
-  ?max_rounds:int ->
   Problem.t ->
   start:Architecture.t ->
   (Architecture.t * int) option

@@ -80,12 +80,16 @@ module Heap = struct
     top
 end
 
+(* Integrality tolerance: a value this close to an integer is
+   integral. *)
+let int_tol = 1e-6
+
 (* Most fractional integer variable within the highest fractional
    priority class, or None if the point is integral. The key
    (priority, fractionality) is compared lexicographically, the int
    first: no key tuple, boxed float or polymorphic compare per
    variable. *)
-let most_fractional ~int_tol ~priority int_vars (point : float array) =
+let most_fractional ~priority int_vars (point : float array) =
   let best = ref (-1) in
   let best_pri = ref min_int in
   let best_frac = ref int_tol in
@@ -356,7 +360,7 @@ end
 
 let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
     ?(integral_objective = false) ?incumbent ?(branch_priority = fun _ -> 0)
-    ?(int_tol = 1e-6) model =
+    model =
   (* Monotonic clock: the time limit and elapsed stats must be immune
      to wall-clock (NTP) steps. *)
   let start = Clock.now_s () in
@@ -480,7 +484,7 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
             end
             else
               match
-                most_fractional ~int_tol ~priority:branch_priority
+                most_fractional ~priority:branch_priority
                   int_var_arr point
               with
               | None ->

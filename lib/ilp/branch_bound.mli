@@ -58,7 +58,8 @@ type result =
       stats : stats;
     }
 
-(** [solve model] solves the MILP to optimality.
+(** [solve model] solves the MILP to optimality. A value within 1e-6
+    of an integer counts as integral.
 
     @param node_limit maximum nodes to expand (default 500_000).
     @param time_limit_s wall-clock budget; on expiry the best incumbent is
@@ -73,8 +74,7 @@ type result =
       maximization), typically from a heuristic; pass the objective value.
     @param branch_priority maps a variable index to a priority class;
       branching picks the most fractional variable within the highest
-      fractional class (default: all variables in class 0).
-    @param int_tol integrality tolerance (default 1e-6). *)
+      fractional class (default: all variables in class 0). *)
 val solve :
   ?node_limit:int ->
   ?time_limit_s:float ->
@@ -82,6 +82,5 @@ val solve :
   ?integral_objective:bool ->
   ?incumbent:float ->
   ?branch_priority:(int -> int) ->
-  ?int_tol:float ->
   Model.t ->
   result

@@ -3,10 +3,14 @@ module Core_def = Soctam_soc.Core_def
 
 type t = { die : float * float; rects : Geom.rect array }
 
+(* Margin kept around every core, in millimetres. *)
+let spacing_mm = 0.5
+
 (* Shelf packing: sort cores by decreasing height, fill rows left to
    right up to the row-width cap, stack rows bottom to top. Sorting is on
-   (height, name) so the result is deterministic. *)
-let place ?(spacing_mm = 0.5) ?row_width_mm soc =
+   (height, name) so the result is deterministic. The cap makes the die
+   roughly square. *)
+let place soc =
   let n = Soc.num_cores soc in
   let order = Array.init n Fun.id in
   let height i = snd (Soc.core soc i).Core_def.dim_mm in
@@ -24,12 +28,7 @@ let place ?(spacing_mm = 0.5) ?row_width_mm soc =
       0.0 (Array.init n Fun.id)
   in
   let cap =
-    match row_width_mm with
-    | Some w -> Float.max w (widest +. (2.0 *. spacing_mm))
-    | None ->
-        Float.max
-          (Float.sqrt total_area *. 1.8)
-          (widest +. (2.0 *. spacing_mm))
+    Float.max (Float.sqrt total_area *. 1.8) (widest +. (2.0 *. spacing_mm))
   in
   let rects = Array.make n { Geom.ll = { x = 0.; y = 0. }; w = 0.; h = 0. } in
   let cursor_x = ref spacing_mm in
@@ -77,7 +76,8 @@ let validate fp =
   done;
   match !error with None -> Ok () | Some msg -> Error msg
 
-let sketch ?(columns = 72) fp soc =
+let sketch fp soc =
+  let columns = 72 in
   let dw, dh = fp.die in
   let rows = max 8 (int_of_float (float_of_int columns *. dh /. dw /. 2.2)) in
   let grid = Array.make_matrix rows columns ' ' in

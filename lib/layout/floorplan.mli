@@ -7,11 +7,9 @@
 
 type t
 
-(** [place ?spacing_mm ?row_width_mm soc] computes a placement.
-    [spacing_mm] is the margin kept around every core (default 0.5);
-    [row_width_mm] caps row width (default: chosen to make the die
-    roughly square). *)
-val place : ?spacing_mm:float -> ?row_width_mm:float -> Soctam_soc.Soc.t -> t
+(** [place soc] computes a placement with a 0.5 mm margin around every
+    core and a row width chosen to make the die roughly square. *)
+val place : Soctam_soc.Soc.t -> t
 
 (** Die dimensions (width, height) in millimetres. *)
 val die_mm : t -> float * float
@@ -32,5 +30,6 @@ val distance : t -> int -> int -> float
     the die; [Error msg] names the first violation. *)
 val validate : t -> (unit, string) result
 
-(** ASCII sketch of the floorplan (for examples and reports). *)
-val sketch : ?columns:int -> t -> Soctam_soc.Soc.t -> string
+(** ASCII sketch of the floorplan, 72 columns wide (for examples and
+    reports). *)
+val sketch : t -> Soctam_soc.Soc.t -> string

@@ -14,9 +14,12 @@ type result = {
   capped : bool;
 }
 
+(* Enumeration cap: time-optimal architectures considered per solve. *)
+let cap = 20_000
+
 (* Enumerate all cluster assignments whose makespan equals [target] for
    the given widths, invoking [emit] on each (at most [cap] times). *)
-let enumerate_optimal problem clustering widths ~target ~cap ~count ~emit =
+let enumerate_optimal problem clustering widths ~target ~count ~emit =
   let m = Clustering.num_clusters clustering in
   let nb = Array.length widths in
   let time =
@@ -71,7 +74,7 @@ let enumerate_optimal problem clustering widths ~target ~cap ~count ~emit =
   in
   explore 0 0
 
-let solve ?(cap = 20_000) problem floorplan =
+let solve problem floorplan =
   match (Exact.solve problem).Exact.solution with
   | None -> None
   | Some (fallback, target) -> (
@@ -104,15 +107,15 @@ let solve ?(cap = 20_000) problem floorplan =
           List.iter
             (fun widths_list ->
               let widths = Array.of_list widths_list in
-              enumerate_optimal problem clustering widths ~target ~cap
-                ~count ~emit:(consider widths))
+              enumerate_optimal problem clustering widths ~target ~count
+                ~emit:(consider widths))
             (Exact.width_partitions ~total:w ~parts:nb);
           let architecture, trunk_mm =
             match !best with
             | Some (arch, mm) -> (arch, mm)
             | None ->
                 (* The exact optimum exists, so enumeration finds at least
-                   one solution unless the cap was 0; fall back. *)
+                   one solution; fall back all the same. *)
                 let wiring =
                   Routing.wiring floorplan
                     ~assignment:fallback.Architecture.assignment

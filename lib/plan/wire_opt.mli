@@ -16,11 +16,10 @@ type result = {
   capped : bool;  (** [true] when the enumeration cap was reached. *)
 }
 
-(** [solve ?cap problem floorplan] enumerates time-optimal architectures
-    (up to [cap], default 20_000) and returns the one with the shortest
-    estimated trunk wirelength. [None] when the instance is infeasible. *)
+(** [solve problem floorplan] enumerates time-optimal architectures (up
+    to 20_000) and returns the one with the shortest estimated trunk
+    wirelength. [None] when the instance is infeasible. *)
 val solve :
-  ?cap:int ->
   Soctam_core.Problem.t ->
   Soctam_layout.Floorplan.t ->
   result option

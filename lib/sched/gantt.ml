@@ -4,7 +4,10 @@ module Cost = Soctam_core.Cost
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 
-let render ?(columns = 72) problem sched =
+(* Chart width in characters. *)
+let columns = 72
+
+let render problem sched =
   let soc = Problem.soc problem in
   let makespan = max 1 sched.Schedule.makespan in
   let nb =
@@ -42,7 +45,7 @@ let render ?(columns = 72) problem sched =
        makespan);
   Buffer.contents buf
 
-let render_profile ?(columns = 72) ?(rows = 10) profile =
+let render_profile ?(rows = 10) profile =
   match profile with
   | [] -> "(empty profile)\n"
   | steps ->

@@ -57,7 +57,7 @@ let handle_connection service fd =
    with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
   close_quietly fd
 
-let serve ?(backlog = 16) ?(on_bound = fun () -> ()) ~service addr =
+let serve ?(on_bound = fun () -> ()) ~service addr =
   let domain =
     match addr with
     | Addr.Unix_path _ -> Unix.PF_UNIX
@@ -75,7 +75,7 @@ let serve ?(backlog = 16) ?(on_bound = fun () -> ()) ~service addr =
       | Addr.Unix_path path -> unlink_quietly path
       | Addr.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
       Unix.bind listener (Addr.sockaddr addr);
-      Unix.listen listener backlog;
+      Unix.listen listener 16;
       on_bound ();
       while not (Service.shutdown_requested service) do
         match Unix.select [ listener ] [] [] 0.1 with

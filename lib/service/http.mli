@@ -17,9 +17,8 @@
     accepts and returns when the daemon begins draining, so [tamoptd]
     runs it on a plain background thread. *)
 
-(** [serve ?backlog ?on_bound ~service addr] blocks until shutdown is
-    requested. Raises [Unix.Unix_error] when the address cannot be
-    bound. *)
+(** [serve ?on_bound ~service addr] blocks until shutdown is requested.
+    The listen backlog is 16. Raises [Unix.Unix_error] when the address
+    cannot be bound. *)
 val serve :
-  ?backlog:int -> ?on_bound:(unit -> unit) -> service:Service.t ->
-  Addr.t -> unit
+  ?on_bound:(unit -> unit) -> service:Service.t -> Addr.t -> unit

@@ -4,6 +4,10 @@ module Core_def = Soctam_soc.Core_def
 module Test_time = Soctam_soc.Test_time
 module Benchmarks = Soctam_soc.Benchmarks
 module Soc_file = Soctam_soc.Soc_file
+module Problem = Soctam_core.Problem
+module Floorplan = Soctam_layout.Floorplan
+module Layout_conflicts = Soctam_layout.Conflicts
+module Power_conflicts = Soctam_power.Power_conflicts
 
 type solver = Exact | Ilp | Heuristic | Race | Pack
 
@@ -177,21 +181,26 @@ let parse_soc_spec json =
 
 (* ---- requests ---- *)
 
-let parse_solver ~what = function
-  | Json.Str "exact" -> Ok Exact
-  | Json.Str "ilp" -> Ok Ilp
-  | Json.Str "heuristic" -> Ok Heuristic
-  | Json.Str "race" -> Ok Race
-  | Json.Str "pack" -> Ok Pack
-  | _ ->
-      Error
-        (what
-        ^ " must be \"exact\", \"ilp\", \"heuristic\", \"race\" or \"pack\"")
+let solver_of_string = function
+  | "exact" -> Ok Exact
+  | "ilp" -> Ok Ilp
+  | "heuristic" -> Ok Heuristic
+  | "race" -> Ok Race
+  | "pack" -> Ok Pack
+  | _ -> Error "must be \"exact\", \"ilp\", \"heuristic\", \"race\" or \"pack\""
 
-let parse_model ~what = function
-  | Json.Str "serialization" -> Ok Test_time.Serialization
-  | Json.Str "scan" -> Ok Test_time.Scan_distribution
-  | _ -> Error (what ^ " must be \"serialization\" or \"scan\"")
+let model_of_string = function
+  | "serialization" -> Ok Test_time.Serialization
+  | "scan" -> Ok Test_time.Scan_distribution
+  | _ -> Error "must be \"serialization\" or \"scan\""
+
+(* A non-string value is rejected like an unknown name. *)
+let parse_name of_string ~what json =
+  let name = match json with Json.Str s -> s | _ -> "" in
+  Result.map_error (fun msg -> what ^ " " ^ msg) (of_string name)
+
+let parse_solver = parse_name solver_of_string
+let parse_model = parse_name model_of_string
 
 let parse_instance ?widths json =
   let* soc_json =
@@ -301,11 +310,7 @@ let resolve_named spec =
               | soc -> Ok soc
               | exception Invalid_argument msg -> Error msg)
           | _ -> Error "rnd:<seed>:<n> takes two integers")
-      | "file" :: rest -> (
-          let path = String.concat ":" rest in
-          match Soc_file.of_file path with
-          | (Ok _ | Error _) as r -> r
-          | exception Sys_error msg -> Error msg)
+      | "file" :: rest -> Soc_file.of_file (String.concat ":" rest)
       | _ ->
           Error
             (Printf.sprintf
@@ -315,6 +320,20 @@ let resolve_named spec =
 let resolve_soc = function
   | Inline soc -> Ok soc
   | Named spec -> resolve_named spec
+
+let constraints_of ~d_max_mm ~p_max_mw soc =
+  let exclusion_pairs =
+    match d_max_mm with
+    | None -> []
+    | Some d ->
+        Layout_conflicts.exclusion_pairs (Floorplan.place soc) ~d_max_mm:d
+  in
+  let co_pairs =
+    match p_max_mw with
+    | None -> []
+    | Some p -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:p
+  in
+  { Problem.exclusion_pairs; co_pairs }
 
 (* ---- client-side rendering ---- *)
 

@@ -121,11 +121,32 @@ val id_of : Soctam_obs.Json.t -> Soctam_obs.Json.t
 val parse_request :
   Soctam_obs.Json.t -> (request, string) result
 
+(** [solver_of_string name] inverts {!solver_name}; [model_of_string]
+    reads ["serialization"] or ["scan"]. The wire's ["solver"] and
+    ["model"] fields and the [tamopt] flags of the same names both
+    parse through them. An [Error] reads ["must be …"], for the caller
+    to prefix with the field or flag it came from. *)
+val solver_of_string : string -> (solver, string) result
+
+val model_of_string : string -> (Soctam_soc.Test_time.model, string) result
+
 (** [resolve_soc spec] materializes the SOC: [Inline] as-is, [Named]
-    through the same spec grammar as [tamopt --soc] (["s1"]/["s2"]/
-    ["s3"], ["rnd:<seed>:<n>"], ["file:<path>"]). Errors are
-    human-readable and become [bad_request] replies. *)
+    through the spec grammar (["s1"]/["s2"]/["s3"],
+    ["rnd:<seed>:<n>"], ["file:<path>"]) that [tamopt --soc] also
+    reads through it. Errors are human-readable and become
+    [bad_request] replies. *)
 val resolve_soc : soc_spec -> (Soctam_soc.Soc.t, string) result
+
+(** [constraints_of ~d_max_mm ~p_max_mw soc] derives an instance's
+    structural constraints from its budgets: exclusion pairs for cores
+    further apart than [d_max_mm] on [soc]'s floorplan, co-assignment
+    pairs for core pairs whose summed power exceeds [p_max_mw]. The
+    daemon and [tamopt] both derive them here. *)
+val constraints_of :
+  d_max_mm:float option ->
+  p_max_mw:float option ->
+  Soctam_soc.Soc.t ->
+  Soctam_core.Problem.constraints
 
 (** [json_of_request ?id req] renders a request the daemon parses back
     — the client half of the protocol, used by [tamopt load]/[rpc] and

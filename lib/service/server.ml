@@ -53,7 +53,7 @@ let spawn state fd =
   state.conns <- { id; fd; thread } :: state.conns;
   Mutex.unlock state.mutex
 
-let serve ?(backlog = 64) ?(on_bound = fun () -> ()) ~service addr =
+let serve ?(on_bound = fun () -> ()) ~service addr =
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
@@ -77,7 +77,7 @@ let serve ?(backlog = 64) ?(on_bound = fun () -> ()) ~service addr =
       | Addr.Unix_path path -> unlink_quietly path
       | Addr.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
       Unix.bind listener (Addr.sockaddr addr);
-      Unix.listen listener backlog;
+      Unix.listen listener 64;
       on_bound ();
       (* Poll the shutdown flag between accepts so a shutdown request
          served on a connection thread wakes this loop promptly. *)

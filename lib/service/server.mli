@@ -13,10 +13,9 @@
     mid-reply must not kill the daemon); Unix-domain socket paths are
     unlinked before bind and after shutdown. *)
 
-(** [serve ?backlog ~service addr] blocks until a shutdown request is
-    served. Raises [Unix.Unix_error] when the address cannot be bound.
-    [on_bound] (for tests and scripts) runs once the socket is
-    listening, e.g. to signal readiness. *)
+(** [serve ~service addr] blocks until a shutdown request is served.
+    The listen backlog is 64. Raises [Unix.Unix_error] when the address
+    cannot be bound. [on_bound] (for tests and scripts) runs once the
+    socket is listening, e.g. to signal readiness. *)
 val serve :
-  ?backlog:int -> ?on_bound:(unit -> unit) -> service:Service.t ->
-  Addr.t -> unit
+  ?on_bound:(unit -> unit) -> service:Service.t -> Addr.t -> unit

@@ -5,11 +5,7 @@ module Log = Soctam_obs.Log
 module Export = Soctam_obs.Export
 module Clock = Soctam_obs.Clock
 module Soc = Soctam_soc.Soc
-module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
-module Floorplan = Soctam_layout.Floorplan
-module Layout_conflicts = Soctam_layout.Conflicts
-module Power_conflicts = Soctam_power.Power_conflicts
 module Rect_sched = Soctam_sched.Rect_sched
 module Pool = Soctam_engine.Pool
 module Sweep = Soctam_engine.Sweep
@@ -161,8 +157,8 @@ let fresh_trace_id t =
 
 (* [Pack] carries the instance's power budget along as the
    instantaneous envelope (the same budget also derives co-pairs in
-   [constraints_of] — the pack solver serializes those AND bounds the
-   summed profile). *)
+   [Protocol.constraints_of] — the pack solver serializes those AND
+   bounds the summed profile). *)
 let sweep_solver (inst : Protocol.instance) : Sweep.solver =
   match inst.Protocol.solver with
   | Protocol.Exact -> Sweep.Exact
@@ -170,20 +166,6 @@ let sweep_solver (inst : Protocol.instance) : Sweep.solver =
   | Protocol.Heuristic -> Sweep.Heuristic
   | Protocol.Race -> Sweep.Race
   | Protocol.Pack -> Sweep.Pack { p_max_mw = inst.Protocol.p_max_mw }
-
-let constraints_of ~soc (inst : Protocol.instance) =
-  let exclusion_pairs =
-    match inst.d_max_mm with
-    | None -> []
-    | Some d ->
-        Layout_conflicts.exclusion_pairs (Floorplan.place soc) ~d_max_mm:d
-  in
-  let co_pairs =
-    match inst.p_max_mw with
-    | None -> []
-    | Some p -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:p
-  in
-  { Problem.exclusion_pairs; co_pairs }
 
 (* Cached rows live in canonical core order; [`Store] maps a freshly
    solved request-order row in, [`Serve] maps a cached row out into the
@@ -356,7 +338,10 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
   | Ok soc -> (
       note.n_soc <- Some (Soc.name soc);
       match
-        let constraints = constraints_of ~soc instance in
+        let constraints =
+          Protocol.constraints_of ~d_max_mm:instance.d_max_mm
+            ~p_max_mw:instance.p_max_mw soc
+        in
         let solver = sweep_solver instance in
         let cells =
           Sweep.cells ~time_model:instance.time_model ~constraints ~solver

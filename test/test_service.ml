@@ -326,6 +326,22 @@ let test_protocol_roundtrip () =
         (Some 100.0) deadline_ms
   | Ok _ | Error _ -> Alcotest.failf "roundtrip failed on %s" line
 
+(* The CLI's --solver and --model flags read through the same name
+   parsers as the wire's fields. *)
+let test_name_parsers () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Protocol.solver_name s ^ " round-trips") true
+        (Protocol.solver_of_string (Protocol.solver_name s) = Ok s))
+    Protocol.[ Exact; Ilp; Heuristic; Race; Pack ];
+  Alcotest.(check bool) "serialization parses" true
+    (Protocol.model_of_string "serialization" = Ok Test_time.Serialization);
+  Alcotest.(check bool) "scan parses" true
+    (Protocol.model_of_string "scan" = Ok Test_time.Scan_distribution);
+  Alcotest.(check bool) "unknown solver rejected" true
+    (Result.is_error (Protocol.solver_of_string "bogus"))
+
 let test_resolve_soc () =
   (match Protocol.resolve_soc (Protocol.Named "s2") with
   | Ok soc -> Alcotest.(check int) "s2 cores" 10 (Soc.num_cores soc)
@@ -662,6 +678,8 @@ let suite =
     Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
+    Alcotest.test_case "solver and model names parse" `Quick
+      test_name_parsers;
     Alcotest.test_case "resolve soc specs" `Quick test_resolve_soc;
     Alcotest.test_case "solve and cache" `Quick test_service_solve_and_cache;
     Alcotest.test_case "permuted request hits" `Quick
