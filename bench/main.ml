@@ -47,6 +47,7 @@ module Clock = Soctam_obs.Clock
 module Trace = Soctam_obs.Trace
 module Json = Soctam_obs.Json
 module Service = Soctam_service.Service
+module Protocol = Soctam_service.Protocol
 module Metrics = Soctam_service.Metrics
 module Hist = Soctam_obs.Hist
 module Log = Soctam_obs.Log
@@ -1000,15 +1001,7 @@ let latency_table paths =
               pct snap 0.95; pct snap 0.99; pct snap 0.999 ])
           paths))
 
-let latency_json samples =
-  let snap = Hist.of_samples samples in
-  let q x = Json.Num (Hist.quantile snap x) in
-  Json.Obj
-    [ ("count", Json.int (Array.length samples));
-      ("p50_ms", q 0.50);
-      ("p95_ms", q 0.95);
-      ("p99_ms", q 0.99);
-      ("p999_ms", q 0.999) ]
+let latency_json samples = Hist.summary_json (Hist.of_samples samples)
 
 (* ------------------------------------------------------------------ *)
 (* E8: parallel sweep engine — sequential vs parallel wall-clock.      *)
@@ -1284,7 +1277,7 @@ let table_e10 () =
                 lat_ms.(i) <- (Clock.now_s () -. t0) *. 1000.0;
                 (match Json.parse reply with
                 | Ok r ->
-                    ok.(i) <- Json.member "ok" r = Some (Json.Bool true);
+                    ok.(i) <- Protocol.reply_code r = "ok";
                     was_cached.(i) <-
                       Json.member "cached" r = Some (Json.Bool true)
                 | Error _ -> ());
@@ -1329,15 +1322,9 @@ let table_e10 () =
         in
         let reply = Service.handle_line svc line in
         Mutex.lock ovl_mutex;
-        (match Json.parse reply with
-        | Ok r when Json.member "ok" r = Some (Json.Bool true) ->
-            incr ovl_completed
-        | Ok r
-          when (match Json.member "error" r with
-               | Some err ->
-                   Json.member "code" err = Some (Json.Str "overloaded")
-               | None -> false) ->
-            incr ovl_shed
+        (match Result.map Protocol.reply_code (Json.parse reply) with
+        | Ok "ok" -> incr ovl_completed
+        | Ok "overloaded" -> incr ovl_shed
         | Ok _ | Error _ -> ());
         Mutex.unlock ovl_mutex
       in
@@ -1416,7 +1403,7 @@ let table_e14 () =
     let reply = Service.handle_line svc (line i) in
     let ms = (Clock.now_s () -. t0) *. 1000.0 in
     (match Json.parse reply with
-    | Ok r when Json.member "ok" r = Some (Json.Bool true) -> ()
+    | Ok r when Protocol.reply_code r = "ok" -> ()
     | _ -> failwith "E14: request failed");
     ms
   in

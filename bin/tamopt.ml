@@ -253,8 +253,8 @@ let no_presolve_arg =
 
 let no_cuts_arg =
   let doc =
-    "Disable ILP clique strengthening (conflict-graph clique cover and \
-     root separation). Results are identical; only search effort changes."
+    "Disable ILP clique strengthening (the conflict-graph clique cover). \
+     Results are identical; only search effort changes."
   in
   Arg.(value & flag & info [ "no-cuts" ] ~doc)
 
@@ -639,11 +639,6 @@ let with_client addr f =
             ~finally:(fun () -> Client.close client)
             (fun () -> f addr client))
 
-let reply_is_ok reply =
-  match Json.member "ok" reply with
-  | Some (Json.Bool true) -> true
-  | _ -> false
-
 let rpc_cmd =
   let line_arg =
     let doc = "The request: one JSON object, sent as one line." in
@@ -660,7 +655,7 @@ let rpc_cmd =
     | reply -> (
         print_endline reply;
         match Json.parse reply with
-        | Ok reply when reply_is_ok reply -> 0
+        | Ok reply when Protocol.reply_code reply = "ok" -> 0
         | Ok _ -> 3
         | Error _ -> 3)
   in
@@ -802,7 +797,8 @@ let load_cmd =
                       match Json.parse reply with
                       | Error _ -> err_code.(i) <- "unparseable"
                       | Ok reply ->
-                          ok.(i) <- reply_is_ok reply;
+                          let code = Protocol.reply_code reply in
+                          ok.(i) <- code = "ok";
                           was_cached.(i) <-
                             (match Json.member "cached" reply with
                             | Some (Json.Bool b) -> b
@@ -813,14 +809,7 @@ let load_cmd =
                                 String.equal s
                                   (Printf.sprintf "load-%d" i)
                             | _ -> false);
-                          if not ok.(i) then
-                            err_code.(i) <-
-                              (match Json.member "error" reply with
-                              | Some err -> (
-                                  match Json.member "code" err with
-                                  | Some (Json.Str c) -> c
-                                  | _ -> "unknown")
-                              | None -> "unknown")));
+                          if not ok.(i) then err_code.(i) <- code));
                   loop ()
             in
             loop ())
@@ -846,15 +835,7 @@ let load_cmd =
          histogram the daemon uses (≤0.8% relative error), which makes
          the p999 field honest at any sample count the generator can
          produce. *)
-      let latency samples =
-        let snap = Hist.of_samples samples in
-        Json.Obj
-          [ ("count", Json.int (Array.length samples));
-            ("p50_ms", Json.Num (Hist.quantile snap 0.50));
-            ("p95_ms", Json.Num (Hist.quantile snap 0.95));
-            ("p99_ms", Json.Num (Hist.quantile snap 0.99));
-            ("p999_ms", Json.Num (Hist.quantile snap 0.999)) ]
-      in
+      let latency samples = Hist.summary_json (Hist.of_samples samples) in
       let count_code c =
         let n = ref 0 in
         Array.iter (fun c' -> if String.equal c c' then incr n) err_code;
@@ -906,16 +887,7 @@ let load_cmd =
                     | reply -> (
                         match Json.parse reply with
                         | Error _ -> o_code.(i) <- "unparseable"
-                        | Ok reply when reply_is_ok reply ->
-                            o_code.(i) <- "ok"
-                        | Ok reply ->
-                            o_code.(i) <-
-                              (match Json.member "error" reply with
-                              | Some err -> (
-                                  match Json.member "code" err with
-                                  | Some (Json.Str c) -> c
-                                  | _ -> "unknown")
-                              | None -> "unknown")))
+                        | Ok reply -> o_code.(i) <- Protocol.reply_code reply))
           in
           let threads = List.init n (fun i -> Thread.create (one i) ()) in
           List.iter Thread.join threads;
@@ -947,7 +919,7 @@ let load_cmd =
         match
           Client.rpc control (Protocol.json_of_request Protocol.Stats)
         with
-        | Ok reply when reply_is_ok reply -> (
+        | Ok reply when Protocol.reply_code reply = "ok" -> (
             match Json.member "result" reply with
             | Some stats -> stats
             | None -> Json.Null)
@@ -1182,7 +1154,7 @@ let top_cmd =
         | Error msg ->
             Printf.eprintf "tamopt top: %s\n" msg;
             2
-        | Ok reply when not (reply_is_ok reply) ->
+        | Ok reply when Protocol.reply_code reply <> "ok" ->
             Printf.eprintf "tamopt top: stats request refused\n";
             2
         | Ok reply ->

@@ -45,16 +45,3 @@ let equivalent a b =
   &&
   let ca = canonicalize a and cb = canonicalize b in
   ca.widths = cb.widths && ca.assignment = cb.assignment
-
-let pp ppf arch =
-  let pp_width ppf w = Format.fprintf ppf "%d" w in
-  Format.fprintf ppf "w=[%a]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
-       pp_width)
-    arch.widths;
-  for b = 0 to num_buses arch - 1 do
-    let members = bus_members arch ~bus:b in
-    Format.fprintf ppf " bus%d={%s}" b
-      (String.concat "," (List.map string_of_int members))
-  done

@@ -32,6 +32,3 @@ val canonicalize : t -> t
 
 (** Structural equality up to bus relabelling. *)
 val equivalent : t -> t -> bool
-
-(** Pretty-printer, e.g. [w=[16;8] bus0={0,2} bus1={1,3}]. *)
-val pp : Format.formatter -> t -> unit

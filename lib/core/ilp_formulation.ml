@@ -1,7 +1,6 @@
 module Model = Soctam_ilp.Model
 module Lin_expr = Soctam_ilp.Lin_expr
 module Branch_bound = Soctam_ilp.Branch_bound
-module Simplex = Soctam_ilp.Simplex
 module Presolve = Soctam_ilp.Presolve
 module Cuts = Soctam_ilp.Cuts
 module Obs = Soctam_obs.Obs
@@ -33,44 +32,66 @@ type result = {
   stats : solve_stats;
 }
 
-(* Exclusion structure as per-bus rows. Without cuts: one pairwise row
-   [x_aj + x_bj <= 1] per exclusion pair and bus. With cuts: a greedy
-   clique cover of the conflict graph — each clique [C] contributes
-   [sum_{i in C} x_ij <= 1], which dominates all its pairwise rows, so
-   the pairwise rows inside larger cliques disappear entirely. Cliques
-   of size 2 keep the pairwise [excl_*] naming. *)
-let add_exclusion_rows model x ~n ~nb ~cuts exclusion_pairs =
+(* Model pieces P and P1 share; [build] and [build_assignment] add them
+   in the same order under the same names. *)
+
+(* Assignment variables: [x.(i).(j)] is core [i] riding bus [j]. *)
+let add_assignment_vars model ~n ~nb =
+  Array.init n (fun i ->
+      Array.init nb (fun j ->
+          Model.add_binary model ~name:(Printf.sprintf "x_%d_%d" i j)))
+
+(* Safe upper bound on T: all cores serialized on a width-1 bus. *)
+let horizon problem =
+  let acc = ref 0 in
+  for i = 0 to Problem.num_cores problem - 1 do
+    acc := !acc + Problem.time problem ~core:i ~width:1
+  done;
+  float_of_int !acc
+
+(* Each core rides exactly one bus. *)
+let add_assign_rows model x ~nb =
+  Array.iteri
+    (fun i xi ->
+      Model.add_constr model ~name:(Printf.sprintf "assign_%d" i)
+        (Lin_expr.of_terms (List.init nb (fun j -> (xi.(j), 1.0))))
+        Model.Eq 1.0)
+    x
+
+(* Exclusion and co-assignment rows. Exclusions without cuts: one
+   pairwise row [x_aj + x_bj <= 1] per pair and bus. With cuts: a
+   greedy clique cover of the conflict graph — each clique [C]
+   contributes [sum_{i in C} x_ij <= 1], which dominates all its
+   pairwise rows, so the pairwise rows inside larger cliques disappear
+   entirely. Cliques of size 2 keep the pairwise [excl_*] naming.
+   Co-assignment pairs add [x_aj = x_bj] per bus. *)
+let add_pair_rows model x ~n ~nb ~cuts problem =
+  let pair_rows tag coeff sense rhs (a, b) =
+    for j = 0 to nb - 1 do
+      Model.add_constr model
+        ~name:(Printf.sprintf "%s_%d_%d_%d" tag a b j)
+        (Lin_expr.of_terms [ (x.(a).(j), 1.0); (x.(b).(j), coeff) ])
+        sense rhs
+    done
+  in
+  let excl_rows = pair_rows "excl" 1.0 Model.Le 1.0 in
+  let { Problem.exclusion_pairs; co_pairs } = Problem.constraints problem in
   if cuts then
     List.iteri
       (fun idx clique ->
-        for j = 0 to nb - 1 do
-          let name =
-            match clique with
-            | [ a; b ] -> Printf.sprintf "excl_%d_%d_%d" a b j
-            | _ -> Printf.sprintf "clique_%d_%d" idx j
-          in
-          Model.add_constr model ~name
-            (Lin_expr.of_terms (List.map (fun i -> (x.(i).(j), 1.0)) clique))
-            Model.Le 1.0
-        done)
+        match clique with
+        | [ a; b ] -> excl_rows (a, b)
+        | _ ->
+            for j = 0 to nb - 1 do
+              Model.add_constr model
+                ~name:(Printf.sprintf "clique_%d_%d" idx j)
+                (Lin_expr.of_terms
+                   (List.map (fun i -> (x.(i).(j), 1.0)) clique))
+                Model.Le 1.0
+            done)
       (Cuts.edge_cover_cliques ~n exclusion_pairs)
-  else
-    List.iter
-      (fun (a, b) ->
-        for j = 0 to nb - 1 do
-          Model.add_constr model
-            ~name:(Printf.sprintf "excl_%d_%d_%d" a b j)
-            (Lin_expr.of_terms [ (x.(a).(j), 1.0); (x.(b).(j), 1.0) ])
-            Model.Le 1.0
-        done)
-      exclusion_pairs
-
-(* Rows of size >= 3 that a clique [cover] installs over [nb] buses:
-   the build-time contribution to the [cuts_added] stat. *)
-let cover_rows ~nb cover =
-  List.fold_left
-    (fun acc c -> match c with _ :: _ :: _ :: _ -> acc + nb | _ -> acc)
-    0 cover
+  else List.iter excl_rows exclusion_pairs;
+  List.iter (pair_rows "co" (-1.0) Model.Eq 0.0) co_pairs
 
 let build ?(formulation = Big_m) ?(symmetry_breaking = true) ?(cuts = false)
     problem =
@@ -79,37 +100,18 @@ let build ?(formulation = Big_m) ?(symmetry_breaking = true) ?(cuts = false)
   let w = Problem.total_width problem in
   let kmax = w - nb + 1 in
   let model = Model.create () in
-  let x =
-    Array.init n (fun i ->
-        Array.init nb (fun j ->
-            Model.add_binary model ~name:(Printf.sprintf "x_%d_%d" i j)))
-  in
+  let x = add_assignment_vars model ~n ~nb in
   let delta =
     Array.init nb (fun j ->
         Array.init kmax (fun k ->
             Model.add_binary model
               ~name:(Printf.sprintf "d_%d_%d" j (k + 1))))
   in
-  let horizon =
-    (* Safe upper bound on T: all cores serialized on a width-1 bus. *)
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := !acc + Problem.time problem ~core:i ~width:1
-    done;
-    float_of_int !acc
-  in
   let lower_bound = float_of_int (Problem.lower_bound problem) in
   let t_var =
-    Model.add_continuous model ~name:"T" ~lb:lower_bound ~ub:horizon
+    Model.add_continuous model ~name:"T" ~lb:lower_bound ~ub:(horizon problem)
   in
-  (* Each core rides exactly one bus. *)
-  for i = 0 to n - 1 do
-    let row =
-      Lin_expr.of_terms (List.init nb (fun j -> (x.(i).(j), 1.0)))
-    in
-    Model.add_constr model ~name:(Printf.sprintf "assign_%d" i) row
-      Model.Eq 1.0
-  done;
+  add_assign_rows model x ~nb;
   (* Each bus takes exactly one width. *)
   for j = 0 to nb - 1 do
     let row =
@@ -193,18 +195,7 @@ let build ?(formulation = Big_m) ?(symmetry_breaking = true) ?(cuts = false)
           ~name:(Printf.sprintf "load_%d" j)
           (Lin_expr.of_terms !terms) Model.Le 0.0
       done);
-  (* Structural constraints. *)
-  let constraints = Problem.constraints problem in
-  add_exclusion_rows model x ~n ~nb ~cuts constraints.Problem.exclusion_pairs;
-  List.iter
-    (fun (a, b) ->
-      for j = 0 to nb - 1 do
-        Model.add_constr model
-          ~name:(Printf.sprintf "co_%d_%d_%d" a b j)
-          (Lin_expr.of_terms [ (x.(a).(j), 1.0); (x.(b).(j), -1.0) ])
-          Model.Eq 0.0
-      done)
-    constraints.Problem.co_pairs;
+  add_pair_rows model x ~n ~nb ~cuts problem;
   if symmetry_breaking then
     for j = 0 to nb - 2 do
       let width_of j =
@@ -220,27 +211,62 @@ let build ?(formulation = Big_m) ?(symmetry_breaking = true) ?(cuts = false)
   Model.set_objective model Model.Minimize (Lin_expr.var t_var);
   (model, x, delta, t_var)
 
-let decode problem x delta point =
+(* Assignment-only formulation (P1): widths fixed, so each bus's load row
+   is exact — no width indicators, no big-M. *)
+let build_assignment ~cuts problem ~widths =
   let n = Problem.num_cores problem in
   let nb = Problem.num_buses problem in
-  let kmax = Array.length delta.(0) in
-  let widths =
-    Array.init nb (fun j ->
-        let chosen = ref 0 in
-        for k = 0 to kmax - 1 do
-          if point.(delta.(j).(k)) > 0.5 then chosen := k + 1
-        done;
-        !chosen)
+  if Array.length widths <> nb then
+    invalid_arg "Ilp_formulation.solve_assignment: widths/bus-count mismatch";
+  if Array.fold_left ( + ) 0 widths <> Problem.total_width problem then
+    invalid_arg "Ilp_formulation.solve_assignment: width budget mismatch";
+  Array.iter
+    (fun w ->
+      if w < 1 then
+        invalid_arg "Ilp_formulation.solve_assignment: width < 1")
+    widths;
+  let model = Model.create () in
+  let x = add_assignment_vars model ~n ~nb in
+  let t_var =
+    Model.add_continuous model ~name:"T" ~lb:0.0 ~ub:(horizon problem)
   in
+  add_assign_rows model x ~nb;
+  for j = 0 to nb - 1 do
+    let terms = ref [ (t_var, -1.0) ] in
+    for i = 0 to n - 1 do
+      terms :=
+        (x.(i).(j), float_of_int (Problem.time problem ~core:i ~width:widths.(j)))
+        :: !terms
+    done;
+    Model.add_constr model
+      ~name:(Printf.sprintf "load_%d" j)
+      (Lin_expr.of_terms !terms) Model.Le 0.0
+  done;
+  add_pair_rows model x ~n ~nb ~cuts problem;
+  Model.set_objective model Model.Minimize (Lin_expr.var t_var);
+  (model, x)
+
+(* The architecture a point selects: each core on the bus whose [x]
+   variable is set, under [widths]. *)
+let decode x ~widths point =
   let assignment =
-    Array.init n (fun i ->
+    Array.map
+      (fun xi ->
         let bus = ref 0 in
-        for j = 0 to nb - 1 do
-          if point.(x.(i).(j)) > 0.5 then bus := j
-        done;
+        Array.iteri (fun j v -> if point.(v) > 0.5 then bus := j) xi;
         !bus)
+      x
   in
   Architecture.make ~widths ~assignment
+
+(* The bus widths a point of P selects through its [delta] indicators. *)
+let selected_widths delta point =
+  Array.map
+    (fun dj ->
+      let chosen = ref 0 in
+      Array.iteri (fun k v -> if point.(v) > 0.5 then chosen := k + 1) dj;
+      !chosen)
+    delta
 
 (* Per-request deadlines (absolute [Clock.now_s] instants, e.g. from a
    server's admission timestamp plus the client's budget) fold into the
@@ -271,14 +297,14 @@ let zero_bb_stats =
     elapsed_s = 0.0 }
 
 (* The statistics of a solve of [model] begun at [start]: [stats] is
-   its branch-and-bound work, and the root pipeline adds its clique
-   rows [cuts], eliminated variables [fixed] and separation pivots. *)
-let mk_stats model ~start ?seeded_bound ?(cuts = 0) ?(fixed = 0)
-    ?(sep_pivots = 0) (stats : Branch_bound.stats) =
+   its branch-and-bound work, [cuts] its clique rows and [fixed] the
+   variables the presolve eliminated. *)
+let mk_stats model ~start ?seeded_bound ?(seed_fallback = false) ~cuts
+    ?(fixed = 0) (stats : Branch_bound.stats) =
   { variables = Model.num_vars model;
     constraints = Model.num_constrs model;
     bb_nodes = stats.Branch_bound.nodes;
-    lp_pivots = stats.Branch_bound.lp_pivots + sep_pivots;
+    lp_pivots = stats.Branch_bound.lp_pivots;
     max_depth = stats.Branch_bound.max_depth;
     warm_starts = stats.Branch_bound.warm_starts;
     cold_solves = stats.Branch_bound.cold_solves;
@@ -286,151 +312,60 @@ let mk_stats model ~start ?seeded_bound ?(cuts = 0) ?(fixed = 0)
     dropped_nodes = stats.Branch_bound.dropped_nodes;
     propagated_nodes = stats.Branch_bound.propagated_nodes;
     seeded_bound;
-    seed_fallback = false;
+    seed_fallback;
     cuts_added = cuts;
     presolve_fixed = fixed;
     elapsed_s = Clock.elapsed_s ~since:start }
 
-(* The statistics of a solve the presolve proved infeasible before any
-   search: the build's cover rows, and no other work. *)
-let presolve_infeasible_stats model ~start ~cuts ~n ~nb excl =
-  let cover = if cuts then Cuts.edge_cover_cliques ~n excl else [] in
-  mk_stats model ~start ~cuts:(cover_rows ~nb cover) zero_bb_stats
-
-(* Root pipeline: the presolve reduction plus bounded-round clique-cut
-   separation that runs between [build] and branch and bound. *)
-type root_pipeline = {
-  search_model : Model.t;  (** The model branch and bound explores. *)
-  to_orig : float array -> float array;  (** Postsolve of search points. *)
-  remap : (int -> int) -> int -> int;
-      (** Lift an original-space branch priority to the search space. *)
-  root_cuts : int;  (** Clique rows: cover (size >= 3) + separated. *)
-  fixed : int;  (** Variables eliminated by the presolve. *)
-  sep_pivots : int;  (** LP pivots spent in separation rounds. *)
-}
-
-let separation_rounds = 3
-let cut_violation_tol = 1e-6
-
-(* Presolve [model], then separate pool cliques against the root
-   relaxation of the reduced model for at most [separation_rounds]
-   rounds. [Error msg] means the presolve itself proved the model
-   infeasible. Cut candidates are built in the original variable space
-   ([x]) and translated through the reduction, so the two layers
-   compose without either knowing about the other. *)
-let strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model =
-  let cover = if cuts then Cuts.edge_cover_cliques ~n excl else [] in
-  let pre =
+(* The one MILP pipeline behind [solve] (P) and [solve_assignment] (P1):
+   presolve [model] (built from [problem] with [~cuts]), search the
+   result by branch and bound, and postsolve each point the search
+   returns for [decode] to read as an architecture. With [~seed] the
+   greedy heuristic primes the search, once the presolve has passed and
+   while the budget is unspent, and its verified architecture is the
+   answer when the search ends with no point of its own.
+   [branch_priority] is over [model]'s variables. *)
+let search problem model ~start ?time_limit_s ?deadline_s ~presolve ~cuts
+    ~seed ?branch_priority decode =
+  let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
+  (* The clique rows the build installed: its cover cliques of size >= 3,
+     once per bus. *)
+  let cover_rows =
+    if cuts then
+      let n = Problem.num_cores problem and nb = Problem.num_buses problem in
+      List.fold_left
+        (fun acc c -> match c with _ :: _ :: _ :: _ -> acc + nb | _ -> acc)
+        0
+        (Cuts.edge_cover_cliques ~n
+           (Problem.constraints problem).Problem.exclusion_pairs)
+    else 0
+  in
+  let reduced =
     if presolve then
-      match Obs.span "ilp.presolve" (fun () -> Presolve.reduce model) with
-      | Ok p -> Ok (Some p)
-      | Error msg -> Error msg
+      Obs.span "ilp.presolve" (fun () ->
+          Result.map Option.some (Presolve.reduce model))
     else Ok None
   in
-  match pre with
-  | Error msg -> Error msg
-  | Ok maybe_pre ->
-      let search_model =
-        match maybe_pre with None -> model | Some p -> p.Presolve.reduced
-      in
-      let to_orig =
-        match maybe_pre with None -> Fun.id | Some p -> Presolve.postsolve p
-      in
-      let remap prio =
-        match maybe_pre with
-        | None -> prio
-        | Some p -> fun v -> prio p.Presolve.orig_of_reduced.(v)
-      in
-      let fixed =
-        match maybe_pre with None -> 0 | Some p -> Presolve.eliminated p
-      in
-      let translate terms =
-        match maybe_pre with
-        | None -> (terms, 0.0)
-        | Some p -> Presolve.translate_terms p terms
-      in
-      let sep_cuts = ref 0 and sep_pivots = ref 0 in
-      if cuts then begin
-        let pool = Cuts.pool_cliques ~n ~cover excl in
-        let candidates = ref [] in
-        List.iteri
-          (fun idx clique ->
-            for j = nb - 1 downto 0 do
-              let terms, const =
-                translate (List.map (fun i -> (x.(i).(j), 1.0)) clique)
-              in
-              if terms <> [] then
-                candidates :=
-                  (Printf.sprintf "clique_sep_%d_%d" idx j, terms, const)
-                  :: !candidates
-            done)
-          pool;
-        let remaining = ref (List.rev !candidates) in
-        let rounds = ref 0 in
-        let continue = ref (!remaining <> []) in
-        while !continue && !rounds < separation_rounds do
-          incr rounds;
-          match Obs.span "ilp.separate" (fun () -> Simplex.solve search_model)
-          with
-          | Simplex.Optimal { point; pivots; _ } ->
-              sep_pivots := !sep_pivots + pivots;
-              let violated, rest =
-                List.partition
-                  (fun (_, terms, const) ->
-                    List.fold_left
-                      (fun acc (v, c) -> acc +. (c *. point.(v)))
-                      const terms
-                    > 1.0 +. cut_violation_tol)
-                  !remaining
-              in
-              if violated = [] then continue := false
-              else begin
-                List.iter
-                  (fun (name, terms, const) ->
-                    Model.add_constr search_model ~name
-                      (Lin_expr.of_terms terms)
-                      Model.Le (1.0 -. const);
-                    incr sep_cuts)
-                  violated;
-                remaining := rest;
-                if !remaining = [] then continue := false
-              end
-          | _ -> continue := false
-        done
-      end;
-      Ok
-        { search_model;
-          to_orig;
-          remap;
-          root_cuts = cover_rows ~nb cover + !sep_cuts;
-          fixed;
-          sep_pivots = !sep_pivots }
-
-let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
-    ?time_limit_s ?deadline_s ?(presolve = true) ?(cuts = true) problem =
- Obs.span "ilp.solve" @@ fun () ->
-  let start = Clock.now_s () in
-  let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
-  let model, x, delta, _ =
-    Obs.span "ilp.build" (fun () ->
-        build ?formulation ?symmetry_breaking ~cuts problem)
-  in
-  (* Width-selection variables steer the whole load structure: branch on
-     them before the assignment variables. *)
-  let n = Problem.num_cores problem in
-  let nb = Problem.num_buses problem in
-  let num_x = n * nb in
-  let branch_priority v = if v >= num_x then 1 else 0 in
-  let excl = (Problem.constraints problem).Problem.exclusion_pairs in
-  match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
+  match reduced with
   | Error _msg ->
       (* The presolve proved the instance infeasible before any search:
          the verdict is exact, with zero branch-and-bound work. *)
       Obs.incr "ilp.presolve_infeasible";
       { solution = None;
         optimal = true;
-        stats = presolve_infeasible_stats model ~start ~cuts ~n ~nb excl }
-  | Ok rp ->
+        stats = mk_stats model ~start ~cuts:cover_rows zero_bb_stats }
+  | Ok pre ->
+      let search_model, to_orig, fixed, branch_priority =
+        match pre with
+        | None -> (model, Fun.id, 0, branch_priority)
+        | Some p ->
+            ( p.Presolve.reduced,
+              Presolve.postsolve p,
+              Presolve.eliminated p,
+              Option.map
+                (fun prio v -> prio p.Presolve.orig_of_reduced.(v))
+                branch_priority )
+      in
       (* With the budget already exhausted (expired deadline) the answer
          is an immediate partial verdict; don't burn time computing a
          seed incumbent that cannot be used. *)
@@ -438,7 +373,7 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
         match time_limit_s with Some l -> l <= 0.0 | None -> false
       in
       let seed =
-        if seed_incumbent && not expired then
+        if seed && not expired then
           Obs.span "ilp.incumbent" (fun () -> Heuristics.solve problem)
         else None
       in
@@ -452,16 +387,19 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
         Option.map (fun t -> float_of_int (t + 1)) seeded_bound
       in
       let outcome =
-        Branch_bound.solve ?time_limit_s ~integral_objective:true
-          ?incumbent ~branch_priority:(rp.remap branch_priority)
-          rp.search_model
+        Branch_bound.solve ?time_limit_s ~integral_objective:true ?incumbent
+          ?branch_priority search_model
       in
-      let finish ?(optimal = true) stats solution =
+      let finish ?(optimal = true) ?seed_fallback stats solution =
         { solution;
           optimal;
           stats =
-            mk_stats model ~start ?seeded_bound ~cuts:rp.root_cuts
-              ~fixed:rp.fixed ~sep_pivots:rp.sep_pivots stats }
+            mk_stats model ~start ?seeded_bound ?seed_fallback
+              ~cuts:cover_rows ~fixed stats }
+      in
+      let answer point =
+        let arch = decode (to_orig point) in
+        (arch, Cost.test_time problem arch)
       in
       (* Branch and bound ended without a point. A seeded search was cut
          off just above the seed's time, so it found nothing at or below
@@ -474,16 +412,13 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
                  (Verify.check problem architecture ~claimed_time:test_time)
           ->
             Obs.incr "ilp.seed_fallback";
-            let r =
-              finish ~optimal:false stats (Some (architecture, test_time))
-            in
-            { r with stats = { r.stats with seed_fallback = true } }
+            finish ~optimal:false ~seed_fallback:true stats
+              (Some (architecture, test_time))
         | _ -> finish ~optimal stats None
       in
       (match outcome with
       | Branch_bound.Optimal { point; objective; stats } ->
-          let arch = decode problem x delta (rp.to_orig point) in
-          let test_time = Cost.test_time problem arch in
+          let arch, test_time = answer point in
           (* The decoded architecture's true cost must match the MILP
              objective (up to rounding); the reduced objective carries
              the eliminated variables' contribution as a constant, so no
@@ -491,129 +426,34 @@ let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
           assert (Float.abs (float_of_int test_time -. objective) < 0.5);
           finish stats (Some (arch, test_time))
       | Branch_bound.Infeasible stats -> no_point ~optimal:true stats
-      | Branch_bound.Unbounded stats ->
-          (* A bounded makespan objective cannot be unbounded. *)
-          ignore stats;
+      | Branch_bound.Unbounded _ ->
+          (* T is bounded above by the horizon. *)
           assert false
-      | Branch_bound.Node_limit { best; stats } -> (
-          match best with
-          | Some (point, _) ->
-              let arch = decode problem x delta (rp.to_orig point) in
-              let test_time = Cost.test_time problem arch in
-              finish ~optimal:false stats (Some (arch, test_time))
-          | None -> no_point ~optimal:false stats))
+      | Branch_bound.Node_limit { best = Some (point, _); stats } ->
+          finish ~optimal:false stats (Some (answer point))
+      | Branch_bound.Node_limit { best = None; stats } ->
+          no_point ~optimal:false stats)
 
-(* Assignment-only formulation (P1): widths fixed, so each bus's load row
-   is exact — no width indicators, no big-M. *)
-let build_assignment ?(cuts = false) problem ~widths =
-  let n = Problem.num_cores problem in
-  let nb = Problem.num_buses problem in
-  if Array.length widths <> nb then
-    invalid_arg "Ilp_formulation.solve_assignment: widths/bus-count mismatch";
-  if Array.fold_left ( + ) 0 widths <> Problem.total_width problem then
-    invalid_arg "Ilp_formulation.solve_assignment: width budget mismatch";
-  Array.iter
-    (fun w ->
-      if w < 1 then
-        invalid_arg "Ilp_formulation.solve_assignment: width < 1")
-    widths;
-  let model = Model.create () in
-  let x =
-    Array.init n (fun i ->
-        Array.init nb (fun j ->
-            Model.add_binary model ~name:(Printf.sprintf "x_%d_%d" i j)))
+let solve ?formulation ?symmetry_breaking ?(seed_incumbent = true)
+    ?time_limit_s ?deadline_s ?(presolve = true) ?(cuts = true) problem =
+ Obs.span "ilp.solve" @@ fun () ->
+  let start = Clock.now_s () in
+  let model, x, delta, _ =
+    Obs.span "ilp.build" (fun () ->
+        build ?formulation ?symmetry_breaking ~cuts problem)
   in
-  let horizon = ref 0 in
-  for i = 0 to n - 1 do
-    horizon := !horizon + Problem.time problem ~core:i ~width:1
-  done;
-  let t_var =
-    Model.add_continuous model ~name:"T" ~lb:0.0
-      ~ub:(float_of_int !horizon)
-  in
-  for i = 0 to n - 1 do
-    Model.add_constr model
-      ~name:(Printf.sprintf "assign_%d" i)
-      (Lin_expr.of_terms (List.init nb (fun j -> (x.(i).(j), 1.0))))
-      Model.Eq 1.0
-  done;
-  for j = 0 to nb - 1 do
-    let terms = ref [ (t_var, -1.0) ] in
-    for i = 0 to n - 1 do
-      terms :=
-        (x.(i).(j), float_of_int (Problem.time problem ~core:i ~width:widths.(j)))
-        :: !terms
-    done;
-    Model.add_constr model
-      ~name:(Printf.sprintf "load_%d" j)
-      (Lin_expr.of_terms !terms) Model.Le 0.0
-  done;
-  let constraints = Problem.constraints problem in
-  add_exclusion_rows model x ~n ~nb ~cuts constraints.Problem.exclusion_pairs;
-  List.iter
-    (fun (a, b) ->
-      for j = 0 to nb - 1 do
-        Model.add_constr model
-          ~name:(Printf.sprintf "co_%d_%d_%d" a b j)
-          (Lin_expr.of_terms [ (x.(a).(j), 1.0); (x.(b).(j), -1.0) ])
-          Model.Eq 0.0
-      done)
-    constraints.Problem.co_pairs;
-  Model.set_objective model Model.Minimize (Lin_expr.var t_var);
-  (model, x)
+  (* Width-selection variables steer the whole load structure: branch on
+     them before the assignment variables. *)
+  let num_x = Problem.num_cores problem * Problem.num_buses problem in
+  search problem model ~start ?time_limit_s ?deadline_s ~presolve ~cuts
+    ~seed:seed_incumbent
+    ~branch_priority:(fun v -> if v >= num_x then 1 else 0)
+    (fun point -> decode x ~widths:(selected_widths delta point) point)
 
 let solve_assignment ?time_limit_s ?deadline_s ?(presolve = true)
     ?(cuts = true) problem ~widths =
  Obs.span "ilp.solve_assignment" @@ fun () ->
   let start = Clock.now_s () in
-  let time_limit_s = effective_time_limit ?time_limit_s ?deadline_s ~start () in
   let model, x = build_assignment ~cuts problem ~widths in
-  let n = Problem.num_cores problem in
-  let nb = Problem.num_buses problem in
-  let excl = (Problem.constraints problem).Problem.exclusion_pairs in
-  let decode point =
-    let assignment =
-      Array.init n (fun i ->
-          let bus = ref 0 in
-          for j = 0 to nb - 1 do
-            if point.(x.(i).(j)) > 0.5 then bus := j
-          done;
-          !bus)
-    in
-    Architecture.make ~widths ~assignment
-  in
-  match strengthen_root ~presolve ~cuts ~n ~nb ~x ~excl model with
-  | Error _msg ->
-      Obs.incr "ilp.presolve_infeasible";
-      { solution = None;
-        optimal = true;
-        stats = presolve_infeasible_stats model ~start ~cuts ~n ~nb excl }
-  | Ok rp -> (
-      let outcome =
-        Branch_bound.solve ?time_limit_s ~integral_objective:true
-          rp.search_model
-      in
-      let finish ?(optimal = true) stats solution =
-        { solution;
-          optimal;
-          stats =
-            mk_stats model ~start ~cuts:rp.root_cuts ~fixed:rp.fixed
-              ~sep_pivots:rp.sep_pivots stats }
-      in
-      match outcome with
-      | Branch_bound.Optimal { point; objective; stats } ->
-          let arch = decode (rp.to_orig point) in
-          let test_time = Cost.test_time problem arch in
-          assert (Float.abs (float_of_int test_time -. objective) < 0.5);
-          finish stats (Some (arch, test_time))
-      | Branch_bound.Infeasible stats -> finish stats None
-      | Branch_bound.Unbounded _ ->
-          (* T is bounded above by the horizon. *)
-          assert false
-      | Branch_bound.Node_limit { best; stats } -> (
-          match best with
-          | Some (point, _) ->
-              let arch = decode (rp.to_orig point) in
-              finish ~optimal:false stats
-                (Some (arch, Cost.test_time problem arch))
-          | None -> finish ~optimal:false stats None))
+  search problem model ~start ?time_limit_s ?deadline_s ~presolve ~cuts
+    ~seed:false (decode x ~widths)

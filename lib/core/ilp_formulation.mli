@@ -19,15 +19,15 @@
     with a heuristic incumbent and with symmetry-breaking rows ordering
     bus widths non-increasingly.
 
-    Before the search the model passes through a strengthening pipeline:
-    {!Soctam_ilp.Presolve} merges co-assigned variable pairs and
-    propagates exclusion-forced fixings (the search runs on the reduced
-    model; points are postsolved back before decoding), and
-    {!Soctam_ilp.Cuts} replaces pairwise exclusion rows with a clique
-    cover of the conflict graph plus a bounded-round separation pool of
-    further maximal cliques. Both layers are optional ([~presolve] /
-    [~cuts]) and exactness-preserving: disabling them changes work, not
-    answers. *)
+    The model is strengthened in two layers: {!Soctam_ilp.Cuts}
+    replaces pairwise exclusion rows with a clique cover of the conflict
+    graph at build time, and {!Soctam_ilp.Presolve} merges co-assigned
+    variable pairs and propagates exclusion-forced fixings before the
+    search (the search runs on the reduced model; points are postsolved
+    back before decoding). Both layers are optional ([~cuts] /
+    [~presolve]) and exactness-preserving: disabling them changes work,
+    not answers. {!solve} and {!solve_assignment} run the same pipeline:
+    presolve, branch and bound, decode. *)
 
 type formulation = Big_m | Linearized
 
@@ -57,8 +57,8 @@ type solve_stats = {
           [Infeasible] verdict, or a budget that expired first), so the
           verified heuristic seed is the answer, with [optimal = false]. *)
   cuts_added : int;
-      (** Clique rows strengthening the model: size-[>= 3] cover rows
-          installed at build time plus rows separated at the root. *)
+      (** Clique rows strengthening the model: the clique cover's rows
+          of size [>= 3], installed at build time. *)
   presolve_fixed : int;
       (** Variables eliminated by the presolve (merged into an alias
           class representative or fixed to a bound). *)
@@ -109,8 +109,8 @@ val build :
 
     [presolve] (default [true]) reduces the model before the search and
     postsolves the answer; [cuts] (default [true]) enables the clique
-    cover plus root separation. Both are escape hatches for debugging
-    and differential testing — results are identical either way. *)
+    cover. Both are escape hatches for debugging and differential
+    testing — results are identical either way. *)
 val solve :
   ?formulation:formulation ->
   ?symmetry_breaking:bool ->
@@ -128,7 +128,8 @@ val solve :
     assignment [x_ij] and the makespan [T] remain. The returned
     architecture uses exactly [widths]. Raises [Invalid_argument] when
     [widths] does not match the instance's bus count or width budget.
-    [presolve] and [cuts] behave as in {!solve}. *)
+    [presolve] and [cuts] behave as in {!solve}; the search has no
+    heuristic seed and no branch priority. *)
 val solve_assignment :
   ?time_limit_s:float ->
   ?deadline_s:float ->

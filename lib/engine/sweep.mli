@@ -70,7 +70,7 @@ type row = {
   warm_starts : int;  (** Warm-started node LPs ([Ilp] only). *)
   cold_solves : int;  (** Cold two-phase LP solves ([Ilp] only). *)
   refactorizations : int;  (** LP basis (re)factorizations ([Ilp] only). *)
-  cuts_added : int;  (** Clique rows, cover + separated ([Ilp] only). *)
+  cuts_added : int;  (** Clique-cover rows ([Ilp] only). *)
   presolve_fixed : int;  (** Variables eliminated ([Ilp] only). *)
   seeded_bound : int option;
       (** Heuristic incumbent that primed the MILP ([Ilp] with [seed]). *)

@@ -4,32 +4,24 @@ let normalize_edges pairs =
          if a = b then None else Some (min a b, max a b))
   |> List.sort_uniq compare
 
-let adjacency ~n pairs =
+let edge_cover_cliques ~n pairs =
+  let edges = List.filter (fun (a, b) -> a < n && b < n) (normalize_edges pairs) in
   let adj = Array.make_matrix n n false in
   List.iter
     (fun (a, b) ->
       adj.(a).(b) <- true;
       adj.(b).(a) <- true)
-    pairs;
-  adj
-
-(* Grow [a; b] into a maximal clique, scanning candidate vertices in
-   [scan] order and keeping any adjacent to every current member. *)
-let grow adj ~scan a b =
-  let members = ref [ a; b ] in
-  List.iter
-    (fun v ->
-      if
-        v <> a && v <> b
-        && List.for_all (fun u -> adj.(u).(v)) !members
-      then members := v :: !members)
-    scan;
-  List.sort compare !members
-
-let edge_cover_cliques ~n pairs =
-  let edges = List.filter (fun (a, b) -> a < n && b < n) (normalize_edges pairs) in
-  let adj = adjacency ~n edges in
-  let scan = List.init n Fun.id in
+    edges;
+  (* Grow [a; b] into a maximal clique, scanning vertices in ascending
+     order and keeping any adjacent to every current member. *)
+  let grow a b =
+    let members = ref [ a; b ] in
+    for v = 0 to n - 1 do
+      if v <> a && v <> b && List.for_all (fun u -> adj.(u).(v)) !members
+      then members := v :: !members
+    done;
+    List.sort compare !members
+  in
   let covered = Hashtbl.create 16 in
   let cover_clique clique =
     let rec mark = function
@@ -44,24 +36,8 @@ let edge_cover_cliques ~n pairs =
     (fun (a, b) ->
       if Hashtbl.mem covered (a, b) then None
       else begin
-        let clique = grow adj ~scan a b in
+        let clique = grow a b in
         cover_clique clique;
-        Some clique
-      end)
-    edges
-
-let pool_cliques ~n ~cover pairs =
-  let edges = List.filter (fun (a, b) -> a < n && b < n) (normalize_edges pairs) in
-  let adj = adjacency ~n edges in
-  let scan = List.rev (List.init n Fun.id) in
-  let seen = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace seen c ()) cover;
-  List.filter_map
-    (fun (a, b) ->
-      let clique = grow adj ~scan a b in
-      if List.length clique < 3 || Hashtbl.mem seen clique then None
-      else begin
-        Hashtbl.replace seen clique ();
         Some clique
       end)
     edges

@@ -8,9 +8,8 @@
     graph-level: callers instantiate the cliques per bus.
 
     Everything is deterministic: edges are normalized and sorted, and
-    cliques grow by ascending (cover) or descending (pool) vertex
-    scans, so identical inputs yield identical cliques in identical
-    order. *)
+    cliques grow by ascending vertex scans, so identical inputs yield
+    identical cliques in identical order. *)
 
 (** [normalize_edges pairs] drops self-loops and duplicates, orients
     each edge as [(min, max)] and sorts. *)
@@ -22,10 +21,3 @@ val normalize_edges : (int * int) list -> (int * int) list
     Each clique is sorted ascending and has >= 2 members; a 2-clique is
     exactly the original pairwise row. *)
 val edge_cover_cliques : n:int -> (int * int) list -> int list list
-
-(** [pool_cliques ~n ~cover pairs] grows one maximal clique per edge
-    with the opposite (descending) scan order and returns those of size
-    >= 3 not already in [cover] — the separation pool for cut rounds at
-    the root. *)
-val pool_cliques :
-  n:int -> cover:int list list -> (int * int) list -> int list list

@@ -66,19 +66,3 @@ let eval e x =
   !acc
 
 let size e = Int_map.cardinal e.terms
-
-let pp ~name ppf e =
-  let first = ref true in
-  let print_term v c =
-    let sign = if c < 0.0 then "- " else if !first then "" else "+ " in
-    let mag = Float.abs c in
-    if !first then first := false;
-    if Float.abs (mag -. 1.0) <= eps then
-      Format.fprintf ppf "%s%s " sign (name v)
-    else Format.fprintf ppf "%s%g %s " sign mag (name v)
-  in
-  Int_map.iter print_term e.terms;
-  if Float.abs e.constant > eps || !first then
-    Format.fprintf ppf "%s%g"
-      (if e.constant < 0.0 then "- " else if !first then "" else "+ ")
-      (Float.abs e.constant)

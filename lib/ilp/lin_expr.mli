@@ -23,9 +23,6 @@ val sub : t -> t -> t
 (** [scale k e] multiplies every coefficient and the constant by [k]. *)
 val scale : float -> t -> t
 
-(** [add_term e v c] is [e + c * x_v]. *)
-val add_term : t -> int -> float -> t
-
 (** [of_terms ?constant terms] builds an expression from
     [(variable, coefficient)] pairs; repeated variables accumulate. *)
 val of_terms : ?constant:float -> (int * float) list -> t
@@ -53,6 +50,3 @@ val eval : t -> float array -> float
 
 (** Number of nonzero terms. *)
 val size : t -> int
-
-(** Pretty-printer; [name] maps a variable index to its display name. *)
-val pp : name:(int -> string) -> Format.formatter -> t -> unit

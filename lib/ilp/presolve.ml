@@ -254,24 +254,3 @@ let postsolve t point =
   Array.map
     (function Kept i -> point.(i) | Fixed v -> v)
     t.disposition
-
-let translate_terms t terms =
-  let acc = Hashtbl.create 8 in
-  let order = ref [] in
-  let constant = ref 0.0 in
-  List.iter
-    (fun (v, c) ->
-      match t.disposition.(v) with
-      | Fixed value -> constant := !constant +. (c *. value)
-      | Kept i -> (
-          match Hashtbl.find_opt acc i with
-          | Some c0 -> Hashtbl.replace acc i (c0 +. c)
-          | None ->
-              Hashtbl.add acc i c;
-              order := i :: !order))
-    terms;
-  ( List.rev !order
-    |> List.filter_map (fun i ->
-           let c = Hashtbl.find acc i in
-           if Float.abs c > coeff_eps then Some (i, c) else None),
-    !constant )

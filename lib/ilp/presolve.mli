@@ -51,11 +51,3 @@ val reduce : Model.t -> (t, string) result
     reduced objective carries the eliminated variables' contribution as
     a constant term. *)
 val postsolve : t -> float array -> float array
-
-(** [translate_terms t terms] maps original-space linear terms to
-    reduced space: aliased variables land on their representative
-    (coefficients summing), fixed variables contribute
-    [coeff * value] to the returned constant. Used to install
-    original-space cutting planes into the reduced model. *)
-val translate_terms :
-  t -> (int * float) list -> (int * float) list * float

@@ -53,7 +53,6 @@ let place soc =
   { die; rects }
 
 let die_mm fp = fp.die
-let rect fp i = fp.rects.(i)
 let position fp i = Geom.center fp.rects.(i)
 let num_cores fp = Array.length fp.rects
 

@@ -14,9 +14,6 @@ val place : Soctam_soc.Soc.t -> t
 (** Die dimensions (width, height) in millimetres. *)
 val die_mm : t -> float * float
 
-(** Placed rectangle of core [i]. *)
-val rect : t -> int -> Geom.rect
-
 (** Centre of core [i]. *)
 val position : t -> int -> Geom.point
 

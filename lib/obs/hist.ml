@@ -149,7 +149,14 @@ let quantile s q =
     Float.max s.min (Float.min s.max v)
   end
 
-let mean s = if s.count = 0 then nan else s.sum /. float_of_int s.count
+let summary_json s =
+  let q x = Json.Num (quantile s x) in
+  Json.Obj
+    [ ("count", Json.int s.count);
+      ("p50_ms", q 0.50);
+      ("p95_ms", q 0.95);
+      ("p99_ms", q 0.99);
+      ("p999_ms", q 0.999) ]
 
 let clear t =
   Mutex.lock t.mutex;

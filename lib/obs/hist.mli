@@ -86,8 +86,9 @@ val of_samples : float array -> snapshot
     into [[s.min, s.max]]. [nan] when the snapshot is empty. *)
 val quantile : snapshot -> float -> float
 
-(** [mean s] is [s.sum /. count]; [nan] when empty. *)
-val mean : snapshot -> float
+(** [summary_json s] is the latency summary every report prints:
+    [{count, p50_ms, p95_ms, p99_ms, p999_ms}]. *)
+val summary_json : snapshot -> Json.t
 
 (** [clear t] zeroes every shard (under the registry mutex). Samples
     recorded concurrently with a clear may land on either side. *)

@@ -69,24 +69,6 @@ let render ?aligns ~headers rows =
     rows;
   Buffer.contents out
 
-let quote_csv cell =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then begin
-    let buf = Buffer.create (String.length cell + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      cell;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-  else cell
-
-let render_csv ~headers rows =
-  let line cells = String.concat "," (List.map quote_csv cells) ^ "\n" in
-  String.concat "" (line headers :: List.map line rows)
-
 let fmt_int n = string_of_int n
 
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x

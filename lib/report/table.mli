@@ -1,4 +1,4 @@
-(** Plain-text and CSV table rendering for the benchmark harness. *)
+(** Plain-text table rendering for the benchmark harness. *)
 
 type align = Left | Right
 
@@ -9,10 +9,6 @@ type align = Left | Right
     than the header are padded with empty cells. Raises
     [Invalid_argument] when [aligns] has the wrong length. *)
 val render : ?aligns:align list -> headers:string list -> string list list -> string
-
-(** [render_csv ~headers rows] renders comma-separated values, quoting
-    cells that contain commas or quotes. *)
-val render_csv : headers:string list -> string list list -> string
 
 (** [fmt_int n] renders an integer with thousands separators
     (e.g. ["1_234_567"] as "1234567" is hard to scan). *)

@@ -446,3 +446,11 @@ let incumbent_event ~id ?trace_id ~test_time ~engine ~elapsed_ms () =
 
 let is_final_reply json =
   match json with Json.Obj _ -> Json.member "ok" json <> None | _ -> true
+
+let reply_code reply =
+  match Json.member "ok" reply with
+  | Some (Json.Bool true) -> "ok"
+  | _ -> (
+      match Option.bind (Json.member "error" reply) (Json.member "code") with
+      | Some (Json.Str code) -> code
+      | _ -> "internal")

@@ -189,3 +189,7 @@ val incumbent_event :
     member) or any non-object, [false] for an event line. Clients use
     it to read a streamed exchange to completion. *)
 val is_final_reply : Soctam_obs.Json.t -> bool
+
+(** [reply_code reply] — ["ok"] for an [ok:true] reply, else the
+    reply's error code, and ["internal"] when it carries none. *)
+val reply_code : Soctam_obs.Json.t -> string

@@ -513,14 +513,6 @@ let run_on_pool t ~id ~trace_id ~note ~arrival f =
 
 (* ---- stats ---- *)
 
-let latency_json snap =
-  Json.Obj
-    [ ("count", Json.int snap.Hist.count);
-      ("p50_ms", Json.Num (Hist.quantile snap 0.50));
-      ("p95_ms", Json.Num (Hist.quantile snap 0.95));
-      ("p99_ms", Json.Num (Hist.quantile snap 0.99));
-      ("p999_ms", Json.Num (Hist.quantile snap 0.999)) ]
-
 let race_wins_alist t =
   Mutex.lock t.mutex;
   let wins = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.race_wins [] in
@@ -583,11 +575,13 @@ let stats_json t =
             ("capacity", Json.int cache.Lru.capacity) ] );
       ( "latency",
         Json.Obj
-          [ ("hit", latency_json (Hist.snapshot t.hit_lat_ms));
-            ("store_hit", latency_json (Hist.snapshot t.store_hit_lat_ms));
-            ("miss", latency_json (Hist.snapshot t.miss_lat_ms));
-            ("queue_wait", latency_json (Hist.snapshot t.queue_wait_ms));
-            ("solve", latency_json (Hist.snapshot t.solve_ms)) ] );
+          (List.map
+             (fun (name, h) -> (name, Hist.summary_json (Hist.snapshot h)))
+             [ ("hit", t.hit_lat_ms);
+               ("store_hit", t.store_hit_lat_ms);
+               ("miss", t.miss_lat_ms);
+               ("queue_wait", t.queue_wait_ms);
+               ("solve", t.solve_ms) ]) );
       ( "race_wins",
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.int v)) (race_wins_alist t)) )
@@ -716,23 +710,6 @@ let metrics_text t =
 
 (* ---- the line handler ---- *)
 
-let reply_is_ok = function
-  | Json.Obj fields -> (
-      match List.assoc_opt "ok" fields with
-      | Some (Json.Bool b) -> b
-      | _ -> false)
-  | _ -> false
-
-let reply_verdict reply =
-  if reply_is_ok reply then "ok"
-  else
-    match Json.member "error" reply with
-    | Some err -> (
-        match Json.member "code" err with
-        | Some (Json.Str code) -> code
-        | _ -> "internal")
-    | None -> "internal"
-
 let count_malformed t =
   Mutex.lock t.mutex;
   t.malformed <- t.malformed + 1;
@@ -763,7 +740,7 @@ let log_event t ~note ~trace_id ~op ~id ~deadline_slack reply ~duration_ms =
             (fun x -> Json.Num x)
             note.n_queue_wait_ms
         @ opt_field "shed" (fun s -> Json.Str s) note.n_shed
-        @ [ ("verdict", Json.Str (reply_verdict reply));
+        @ [ ("verdict", Json.Str (Protocol.reply_code reply));
             ("duration_ms", Json.Num duration_ms) ])
 
 let op_name = function
@@ -846,7 +823,7 @@ let handle_line ?emit t line =
                               execute t ~id ~trace_id ~note ~arrival ~emit
                                 work)
                         in
-                        release t ~ok:(reply_is_ok reply);
+                        release t ~ok:(Protocol.reply_code reply = "ok");
                         reply))))
   in
   let duration_ms = elapsed_ms ~arrival in

@@ -45,8 +45,3 @@ let longest_chain core =
 let area_mm2 core =
   let w, h = core.dim_mm in
   w *. h
-
-let pp ppf core =
-  Format.fprintf ppf "%s(in=%d out=%d ff=%d ch=%d p=%d pw=%.0fmW)"
-    core.name core.inputs core.outputs (flip_flops core) (chains core)
-    core.patterns core.power_mw

@@ -47,6 +47,3 @@ val longest_chain : t -> int
 
 (** Core area in square millimetres. *)
 val area_mm2 : t -> float
-
-(** Pretty-printer (one line). *)
-val pp : Format.formatter -> t -> unit

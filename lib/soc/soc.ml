@@ -35,9 +35,3 @@ let fold f init soc =
   let acc = ref init in
   Array.iteri (fun i c -> acc := f !acc i c) soc.core_arr;
   !acc
-
-let pp ppf soc =
-  Format.fprintf ppf "SOC %s (%d cores)@," soc.name (num_cores soc);
-  Array.iteri
-    (fun i c -> Format.fprintf ppf "  [%d] %a@," i Core_def.pp c)
-    soc.core_arr

@@ -37,6 +37,3 @@ val total_area_mm2 : t -> float
 
 (** [fold f init soc] folds [f acc index core] over all cores. *)
 val fold : ('a -> int -> Core_def.t -> 'a) -> 'a -> t -> 'a
-
-(** Pretty-printer: name and one line per core. *)
-val pp : Format.formatter -> t -> unit

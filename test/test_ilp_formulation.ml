@@ -322,8 +322,36 @@ let prop_assignment_matches_dp_random =
       in
       ilp.Ilp.optimal && dp_t = ilp_t)
 
+(* P1 runs through the same presolve and branch-and-bound search as P,
+   so its work is pinned as the node-LP tripwire pins P's. The instance
+   is the tripwire's second, at P's optimal widths 6/1/1: the presolve
+   eliminates 3 variables, the clique cover installs 6 rows of size
+   >= 3, and one node LP falls back to a cold solve. *)
+let test_assignment_tripwire () =
+  let problem =
+    rnd_problem ~seed:57411906 ~cores:6 ~num_buses:3 ~total_width:8
+      ~d_max:2.89 ~p_max:1039.3 ()
+  in
+  let r = Ilp.solve_assignment problem ~widths:[| 6; 1; 1 |] in
+  let st = r.Ilp.stats in
+  Alcotest.(check bool) "optimal" true r.Ilp.optimal;
+  Alcotest.(check (option int)) "test time" (Some 4240785)
+    (Option.map snd r.Ilp.solution);
+  Alcotest.(check (list int))
+    "nodes/pivots/warm/cold/refactorizations/cuts/fixed"
+    [ 9; 98; 5; 2; 8; 6; 3 ]
+    [ st.Ilp.bb_nodes;
+      st.Ilp.lp_pivots;
+      st.Ilp.warm_starts;
+      st.Ilp.cold_solves;
+      st.Ilp.refactorizations;
+      st.Ilp.cuts_added;
+      st.Ilp.presolve_fixed ]
+
 let assignment_suite =
   [ Alcotest.test_case "P1 matches DP" `Quick test_assignment_matches_dp;
     Alcotest.test_case "P1 constrained" `Quick test_assignment_constrained;
     Alcotest.test_case "P1 validation" `Quick test_assignment_validation;
+    Alcotest.test_case "P1 node-LP counters tripwire" `Quick
+      test_assignment_tripwire;
     QCheck_alcotest.to_alcotest prop_assignment_matches_dp_random ]

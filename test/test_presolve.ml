@@ -114,14 +114,7 @@ let test_clique_cover_shape () =
         (Printf.sprintf "edge (%d,%d) covered" a b)
         true
         (List.exists (fun c -> List.mem a c && List.mem b c) cover))
-    edges;
-  let pool = Cuts.pool_cliques ~n:4 ~cover edges in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "pool clique size >= 3" true (List.length c >= 3);
-      Alcotest.(check bool) "pool clique not in cover" false
-        (List.mem c cover))
-    pool
+    edges
 
 let prop_clique_rows_valid =
   let open QCheck in
@@ -131,7 +124,7 @@ let prop_clique_rows_valid =
       list_size (int_bound 14)
         (pair (int_bound 7) (int_bound 7)))
   in
-  Test.make ~name:"clique cover/pool rows are valid and deterministic"
+  Test.make ~name:"clique cover rows are valid and deterministic"
     ~count:200
     (make ~print:(fun l ->
          String.concat ";"
@@ -140,10 +133,8 @@ let prop_clique_rows_valid =
     (fun raw ->
       let edges = Cuts.normalize_edges raw in
       let cover = Cuts.edge_cover_cliques ~n:8 raw in
-      let pool = Cuts.pool_cliques ~n:8 ~cover raw in
       (* Determinism: a second run from the same raw list is identical. *)
       cover = Cuts.edge_cover_cliques ~n:8 raw
-      && pool = Cuts.pool_cliques ~n:8 ~cover raw
       (* Cover: every edge appears in some clique, every clique is a
          real clique of size >= 2, sorted ascending. *)
       && List.for_all
@@ -155,14 +146,7 @@ let prop_clique_rows_valid =
              List.length c >= 2
              && List.sort compare c = c
              && is_clique edges c)
-           cover
-      (* Pool: genuine cliques of size >= 3, none duplicated from the
-         cover. *)
-      && List.for_all
-           (fun c ->
-             List.length c >= 3 && is_clique edges c
-             && not (List.mem c cover))
-           pool)
+           cover)
 
 (* --- end-to-end equivalence --------------------------------------- *)
 

@@ -30,14 +30,6 @@ let test_aligns_validation () =
     (Invalid_argument "Table.render: aligns length mismatch") (fun () ->
       ignore (Table.render ~aligns:[ Table.Left ] ~headers:[ "a"; "b" ] []))
 
-let test_csv_quoting () =
-  let s =
-    Table.render_csv ~headers:[ "a"; "b" ]
-      [ [ "plain"; "has,comma" ]; [ "has\"quote"; "x" ] ]
-  in
-  Alcotest.(check string) "csv"
-    "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",x\n" s
-
 let test_formatters () =
   Alcotest.(check string) "int" "1234567" (Table.fmt_int 1234567);
   Alcotest.(check string) "float" "3.14" (Table.fmt_float 3.14159);
@@ -49,5 +41,4 @@ let suite =
     Alcotest.test_case "right alignment" `Quick test_right_alignment;
     Alcotest.test_case "short rows padded" `Quick test_short_rows_padded;
     Alcotest.test_case "aligns validation" `Quick test_aligns_validation;
-    Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
     Alcotest.test_case "formatters" `Quick test_formatters ]
