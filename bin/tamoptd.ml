@@ -1,7 +1,8 @@
 (* tamoptd: the solver daemon. Binds a Unix-domain or TCP socket,
    speaks the NDJSON protocol of Soctam_service.Protocol, and serves
-   solve/sweep requests from a pool of worker domains behind a result
-   cache and an admission queue. Optional side channels: a structured
+   solve/sweep requests from a result cache on the connection threads,
+   and cache misses from a pool of worker domains behind an admission
+   queue. Optional side channels: a structured
    NDJSON request log (--log) and a Prometheus /metrics + /health HTTP
    listener (--metrics). *)
 
@@ -30,8 +31,9 @@ let listen_arg =
 let jobs_arg =
   let doc =
     "Domains in the solver pool, counting the daemon's own domain, which \
-     only accepts connections and does I/O: $(docv) solves on N-1 worker \
-     domains, and 1 solves inline on the connection threads. 0 uses \
+     accepts connections, does I/O and answers cache hits on the \
+     connection threads: $(docv) solves cache misses on N-1 worker \
+     domains, and 1 solves them inline on the connection threads. 0 uses \
      every core."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -174,9 +176,12 @@ let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
               Printf.printf
                 "tamoptd: listening on %s (jobs=%d: %s; cache=%d queue=%d%s)\n%!"
                 (Addr.to_string addr) jobs
-                (if jobs = 1 then "solving inline on connection threads"
+                (if jobs = 1 then
+                   "hits and solves inline on connection threads"
                  else
-                   Printf.sprintf "%d solver domain%s" (jobs - 1)
+                   Printf.sprintf
+                     "hits on connection threads, %d solver domain%s"
+                     (jobs - 1)
                      (if jobs = 2 then "" else "s"))
                 cache queue
                 (match metrics_addr with

@@ -10,23 +10,32 @@ let int n = Num (float_of_int n)
 
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  (* Most strings (keys, names, digests) need no escaping: copy them in
+     one piece. *)
+  if String.exists (fun c -> c = '"' || c = '\\' || c < ' ') s then
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+  else Buffer.add_string buf s;
   Buffer.add_char buf '"'
 
+(* Integral values below 1e15 print as integers. [string_of_int] gives
+   the digits [%.0f] would, at a fraction of the cost; only negative
+   zero, which [int_of_float] loses, is spelled out. *)
 let add_num buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    Buffer.add_string buf
+      (if x = 0.0 && Float.sign_bit x then "-0"
+       else string_of_int (int_of_float x))
   else if Float.is_finite x then
     Buffer.add_string buf (Printf.sprintf "%.12g" x)
   else Buffer.add_string buf "null" (* JSON has no inf/nan *)
@@ -130,12 +139,20 @@ let parse s =
             | 't' -> Buffer.add_char buf '\t'
             | 'u' ->
                 if !pos + 4 >= n then fail "truncated \\u escape";
-                let hex = String.sub s (!pos + 1) 4 in
-                let code =
-                  match int_of_string_opt ("0x" ^ hex) with
-                  | Some c -> c
-                  | None -> fail "bad \\u escape"
-                in
+                (* Exactly four hex digits: [int_of_string] would also
+                   take underscores. *)
+                let code = ref 0 in
+                for k = 1 to 4 do
+                  let d =
+                    match s.[!pos + k] with
+                    | '0' .. '9' as c -> Char.code c - Char.code '0'
+                    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                    | _ -> fail "bad \\u escape"
+                  in
+                  code := (!code lsl 4) lor d
+                done;
+                let code = !code in
                 (* Encode the code point as UTF-8 (surrogate pairs are
                    passed through as-is; trace content is ASCII). *)
                 if code < 0x80 then Buffer.add_char buf (Char.chr code)

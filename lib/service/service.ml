@@ -106,18 +106,24 @@ let try_admit t =
   Mutex.unlock t.mutex;
   verdict
 
-let release t ~ok =
+(* Count a work request's final reply; an admitted one also frees its
+   slot. A hit takes no slot but still counts, so received = completed
+   + failed + malformed + overloaded holds. *)
+let finish t ~admitted reply =
+  let ok = Protocol.reply_code reply = "ok" in
   Mutex.lock t.mutex;
-  t.active <- t.active - 1;
+  if admitted then t.active <- t.active - 1;
   if ok then t.completed <- t.completed + 1 else t.failed <- t.failed + 1;
   if t.active = 0 then Condition.broadcast t.idle;
-  Mutex.unlock t.mutex
+  Mutex.unlock t.mutex;
+  reply
 
 (* ---- per-request log note ----
 
-   [work] runs on a pool worker domain while the reply is assembled in
-   pieces; the note collects what the structured log event needs and is
-   read only after the reply is complete, on the connection thread. *)
+   A request's reply is assembled in pieces, on the connection thread
+   and, for an admitted miss, on a pool worker domain; the note collects
+   what the structured log event needs and is read only after the reply
+   is complete, on the connection thread. *)
 
 type note = {
   mutable n_soc : string option;
@@ -302,17 +308,22 @@ let store_append t canon ~solver rows =
         t.store_append_failed <- t.store_append_failed + 1;
         Mutex.unlock t.mutex)
 
-(* ---- request execution (runs on a pool worker domain) ---- *)
+(* ---- request execution ----
+
+   A solve or sweep is resolved, keyed and looked up in the LRU and the
+   store on the connection thread that read it, before admission: a hit
+   is answered there and never waits behind a solve. Only a miss, like a
+   [sleep], is admitted and runs on a pool worker domain. *)
 
 let elapsed_ms ~arrival = (Clock.now_s () -. arrival) *. 1000.0
 
-let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
-    ~widths ~deadline_ms ~op ~stream ~emit =
+(* The pooled part of a miss: the deadline check, the solve, the store
+   append and the LRU put. *)
+let solve t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
+    ~deadline_ms ~stream ~emit ~soc ~cells ~canon =
   let deadline_s =
     Option.map (fun ms -> arrival +. (ms /. 1000.0)) deadline_ms
   in
-  note.n_solver <- Some (Protocol.solver_name instance.Protocol.solver);
-  note.n_deadline_ms <- deadline_ms;
   (* Incumbent events only flow for a streamed race or pack solve; the
      emit callback runs on the pool worker domain while the connection
      thread is parked in [run_on_pool], so writing to the connection
@@ -333,8 +344,57 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
                     ~elapsed_ms:ev.Race.elapsed_ms ())))
     | _ -> None
   in
+  let expired =
+    match deadline_s with Some d -> Clock.now_s () >= d | None -> false
+  in
+  if expired then
+    Protocol.error_reply ~id ?trace_id ~code:"deadline_exceeded"
+      "deadline expired before the solver started"
+  else
+    let solve_t0 = Clock.now_s () in
+    match
+      Obs.span "svc.solve"
+        ~args:
+          [ ("soc", Soc.name soc);
+            ("solver", Protocol.solver_name instance.solver);
+            ("digest", canon.Canon.digest) ]
+        (fun () -> Sweep.run ?deadline_s ?on_event cells)
+    with
+    | exception Invalid_argument msg ->
+        Protocol.error_reply ~id ?trace_id ~code:"bad_request" msg
+    | rows ->
+        Hist.record t.solve_ms ((Clock.now_s () -. solve_t0) *. 1000.0);
+        ignore (count_race_wins t rows : bool);
+        note.n_optimal <- Some (List.for_all (fun r -> r.Sweep.optimal) rows);
+        (* Only complete verdicts are cacheable: an ILP row that gave up
+           on a deadline must not satisfy a later, more patient request.
+           The store append comes FIRST: once the LRU holds the entry it
+           can be evicted at any moment, so the record must already be
+           durable — an LRU eviction then demotes the key to a store
+           hit, and to a re-solve only if the append failed. *)
+        (if List.for_all (fun r -> r.Sweep.optimal) rows then begin
+           let canonical = remap_rows canon `Store rows in
+           store_append t canon
+             ~solver:(Protocol.solver_name instance.solver)
+             canonical;
+           Lru.put t.cache canon.Canon.key canonical
+         end);
+        let el = elapsed_ms ~arrival in
+        Hist.record t.miss_lat_ms el;
+        Protocol.ok_reply ~id ?trace_id ~cached:false ~source:"solve"
+          ~elapsed_ms:el
+          (result_json ~soc ~inst:instance rows)
+
+(* Runs on the connection thread. [`Answer reply] is final: a hit, or a
+   request refused before any solve. [`Admit run] is a miss; [run] is
+   its pooled solve, reusing the cells and canon key built here. *)
+let lookup t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
+    ~widths ~deadline_ms ~op ~stream ~emit =
+  note.n_solver <- Some (Protocol.solver_name instance.Protocol.solver);
+  note.n_deadline_ms <- deadline_ms;
   match Protocol.resolve_soc instance.soc_spec with
-  | Error msg -> Protocol.error_reply ~id ?trace_id ~code:"bad_request" msg
+  | Error msg ->
+      `Answer (Protocol.error_reply ~id ?trace_id ~code:"bad_request" msg)
   | Ok soc -> (
       note.n_soc <- Some (Soc.name soc);
       match
@@ -373,13 +433,14 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
         (cells, canon)
       with
       | exception Invalid_argument msg ->
-          Protocol.error_reply ~id ?trace_id ~code:"bad_request" msg
+          `Answer (Protocol.error_reply ~id ?trace_id ~code:"bad_request" msg)
       | cells, canon -> (
           note.n_digest <- Some canon.Canon.digest;
           (* [rows] arrive in canonical core order (LRU entry or parsed
              store doc); the [`Serve] remap restores the requester's
              order, so a store hit is byte-identical to the fresh solve
-             that populated it. *)
+             that populated it. A hit is served past its deadline: the
+             answer is already paid for. *)
           let serve ~source ~hist rows =
             note.n_cached <- Some true;
             note.n_source <- Some source;
@@ -388,9 +449,10 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
             let rows = remap_rows canon `Serve rows in
             let el = elapsed_ms ~arrival in
             Hist.record hist el;
-            Protocol.ok_reply ~id ?trace_id ~cached:true ~source
-              ~elapsed_ms:el
-              (result_json ~soc ~inst:instance rows)
+            `Answer
+              (Protocol.ok_reply ~id ?trace_id ~cached:true ~source
+                 ~elapsed_ms:el
+                 (result_json ~soc ~inst:instance rows))
           in
           match Lru.find t.cache canon.Canon.key with
           | Some rows ->
@@ -402,91 +464,53 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
                   Obs.incr "svc.store_hit";
                   (* Promote: the next identical request is a memory
                      hit. Store docs are optimal-only by the append
-                     policy below, matching the LRU's invariant. *)
+                     policy in [solve], matching the LRU's invariant. *)
                   Lru.put t.cache canon.Canon.key rows;
                   serve ~source:"store" ~hist:t.store_hit_lat_ms rows
-              | None -> (
-              Obs.incr "svc.cache_miss";
-              note.n_cached <- Some false;
-              note.n_source <- Some "solve";
-              let expired =
-                match deadline_s with
-                | Some d -> Clock.now_s () >= d
-                | None -> false
-              in
-              if expired then
-                Protocol.error_reply ~id ?trace_id ~code:"deadline_exceeded"
-                  "deadline expired before the solver started"
-              else
-                let solve_t0 = Clock.now_s () in
-                match
-                  Obs.span "svc.solve"
-                    ~args:
-                      [ ("soc", Soc.name soc);
-                        ("solver", Protocol.solver_name instance.solver);
-                        ("digest", canon.Canon.digest) ]
-                    (fun () -> Sweep.run ?deadline_s ?on_event cells)
-                with
-                | exception Invalid_argument msg ->
-                    Protocol.error_reply ~id ?trace_id ~code:"bad_request"
-                      msg
-                | rows ->
-                    Hist.record t.solve_ms
-                      ((Clock.now_s () -. solve_t0) *. 1000.0);
-                    ignore (count_race_wins t rows : bool);
-                    note.n_optimal <-
-                      Some (List.for_all (fun r -> r.Sweep.optimal) rows);
-                    (* Only complete verdicts are cacheable: an ILP row
-                       that gave up on a deadline must not satisfy a
-                       later, more patient request. The store append
-                       comes FIRST: once the LRU holds the entry it can
-                       be evicted at any moment, so the record must
-                       already be durable — an LRU eviction then demotes
-                       the key to a store hit, and to a re-solve only if
-                       the append failed. *)
-                    (if List.for_all (fun r -> r.Sweep.optimal) rows then begin
-                       let canonical = remap_rows canon `Store rows in
-                       store_append t canon
-                         ~solver:(Protocol.solver_name instance.solver)
-                         canonical;
-                       Lru.put t.cache canon.Canon.key canonical
-                     end);
-                    let el = elapsed_ms ~arrival in
-                    Hist.record t.miss_lat_ms el;
-                    Protocol.ok_reply ~id ?trace_id ~cached:false
-                      ~source:"solve" ~elapsed_ms:el
-                      (result_json ~soc ~inst:instance rows)))))
+              | None ->
+                  Obs.incr "svc.cache_miss";
+                  note.n_cached <- Some false;
+                  note.n_source <- Some "solve";
+                  `Admit
+                    (fun () ->
+                      solve t ~id ~trace_id ~note ~arrival ~instance
+                        ~deadline_ms ~stream ~emit ~soc ~cells ~canon))))
 
-let execute t ~id ~trace_id ~note ~arrival ~emit request =
+let plan t ~id ~trace_id ~note ~arrival ~emit request =
   match request with
   | Protocol.Sleep { ms } ->
-      Unix.sleepf (ms /. 1000.0);
-      Protocol.ok_reply ~id ?trace_id
-        ~elapsed_ms:(elapsed_ms ~arrival)
-        (Json.Obj [ ("slept_ms", Json.Num ms) ])
+      `Admit
+        (fun () ->
+          Unix.sleepf (ms /. 1000.0);
+          Protocol.ok_reply ~id ?trace_id
+            ~elapsed_ms:(elapsed_ms ~arrival)
+            (Json.Obj [ ("slept_ms", Json.Num ms) ]))
   | Protocol.Solve { instance; deadline_ms; stream } ->
-      work t ~id ~trace_id ~note ~arrival ~instance
+      lookup t ~id ~trace_id ~note ~arrival ~instance
         ~widths:[ instance.total_width ] ~deadline_ms ~op:`Solve ~stream
         ~emit
   | Protocol.Sweep { instance; widths; deadline_ms; stream } ->
-      work t ~id ~trace_id ~note ~arrival ~instance ~widths ~deadline_ms
+      lookup t ~id ~trace_id ~note ~arrival ~instance ~widths ~deadline_ms
         ~op:`Sweep ~stream ~emit
   | Protocol.Ping | Protocol.Stats | Protocol.Health | Protocol.Shutdown ->
-      (* Protocol ops never reach the pool. *)
+      (* Protocol ops never reach admission. *)
       assert false
 
 (* Dispatch to a worker domain and park the connection thread until the
    reply is ready. The task is total — any escaping exception becomes an
    "internal" reply — because [Pool.submit] swallows exceptions and a
    lost signal would strand the connection thread forever. *)
-let run_on_pool t ~id ~trace_id ~note ~arrival f =
+let run_on_pool t ~id ~trace_id ~note f =
   let m = Mutex.create () in
   let c = Condition.create () in
   let result = ref None in
+  let admitted = Clock.now_s () in
   Pool.submit t.pool (fun () ->
-      (* Time from arrival to a worker picking the task up: the
-         admission queue's contribution to latency. *)
-      let wait_ms = elapsed_ms ~arrival in
+      (* Time from admission to a worker picking the task up: the
+         admission queue's contribution to latency. A miss's lookup on
+         the connection thread came before admission, so it is not
+         counted here. *)
+      let wait_ms = elapsed_ms ~arrival:admitted in
       Hist.record t.queue_wait_ms wait_ms;
       note.n_queue_wait_ms <- Some wait_ms;
       let reply =
@@ -700,7 +724,7 @@ let metrics_text t =
               ([ ("cache", "miss") ], Hist.snapshot t.miss_lat_ms) ] };
       Export.Histogram
         { name = "tamoptd_queue_wait_ms";
-          help = "Arrival-to-worker-pickup wait.";
+          help = "Admission-to-worker-pickup wait (admitted requests only).";
           series = [ ([], Hist.snapshot t.queue_wait_ms) ] };
       Export.Histogram
         { name = "tamoptd_solve_ms";
@@ -752,6 +776,35 @@ let op_name = function
   | Protocol.Solve _ -> "solve"
   | Protocol.Sweep _ -> "sweep"
 
+(* A work request during shutdown is refused. Otherwise a hit, or a
+   request refused before any solve, is answered on this thread and
+   takes no slot; a miss or a sleep is admitted and runs on the pool. *)
+let handle_work t ~id ~trace_id ~note ~arrival ~emit work =
+  let refuse = function
+    | `Shutting_down ->
+        note.n_shed <- Some "shutting_down";
+        Protocol.error_reply ~id ?trace_id ~code:"shutting_down"
+          "daemon is stopping"
+    | `Overloaded ->
+        note.n_shed <- Some "queue_full";
+        Protocol.error_reply ~id ?trace_id ~code:"overloaded"
+          (Printf.sprintf "admission queue full (%d requests in flight)"
+             t.queue_capacity)
+  in
+  if shutdown_requested t then refuse `Shutting_down
+  else
+    match plan t ~id ~trace_id ~note ~arrival ~emit work with
+    | exception e ->
+        finish t ~admitted:false
+          (Protocol.error_reply ~id ?trace_id ~code:"internal"
+             (Printexc.to_string e))
+    | `Answer reply -> finish t ~admitted:false reply
+    | `Admit run -> (
+        match try_admit t with
+        | (`Shutting_down | `Overloaded) as verdict -> refuse verdict
+        | `Admitted ->
+            finish t ~admitted:true (run_on_pool t ~id ~trace_id ~note run))
+
 let handle_line ?emit t line =
   let arrival = Clock.now_s () in
   Mutex.lock t.mutex;
@@ -802,29 +855,9 @@ let handle_line ?emit t line =
                     Mutex.unlock t.mutex;
                     Protocol.ok_reply ~id ~trace_id
                       (Json.Obj [ ("stopping", Json.Bool true) ])
-                | work -> (
-                    match try_admit t with
-                    | `Shutting_down ->
-                        note.n_shed <- Some "shutting_down";
-                        Protocol.error_reply ~id ~trace_id
-                          ~code:"shutting_down" "daemon is stopping"
-                    | `Overloaded ->
-                        note.n_shed <- Some "queue_full";
-                        Protocol.error_reply ~id ~trace_id
-                          ~code:"overloaded"
-                          (Printf.sprintf
-                             "admission queue full (%d requests in flight)"
-                             t.queue_capacity)
-                    | `Admitted ->
-                        let trace_id = Some trace_id in
-                        let reply =
-                          run_on_pool t ~id ~trace_id ~note ~arrival
-                            (fun () ->
-                              execute t ~id ~trace_id ~note ~arrival ~emit
-                                work)
-                        in
-                        release t ~ok:(Protocol.reply_code reply = "ok");
-                        reply))))
+                | work ->
+                    handle_work t ~id ~trace_id:(Some trace_id) ~note
+                      ~arrival ~emit work)))
   in
   let duration_ms = elapsed_ms ~arrival in
   (match t.log with

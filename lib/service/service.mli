@@ -5,17 +5,19 @@
     {!handle_line} processes one NDJSON request and returns the one
     response line (without the trailing newline), blocking the calling
     thread until the result is ready; concurrency comes from calling it
-    from many threads (one per connection), with the actual solving
-    fanned out over the {!Soctam_engine.Pool} worker domains via
-    [Pool.submit].
+    from many threads (one per connection). A solve or sweep is
+    resolved, keyed and looked up in the cache on the calling thread;
+    a hit is answered there, and only a miss is fanned out to the
+    {!Soctam_engine.Pool} worker domains via [Pool.submit].
 
-    {b Admission control.} At most [queue_capacity] work requests
-    (solve / sweep / sleep) may be admitted-but-incomplete at once;
-    request number [queue_capacity + 1] is shed {e immediately} with an
-    ["overloaded"] error reply instead of queuing unboundedly — the
-    client sees explicit backpressure, the daemon's memory stays
+    {b Admission control.} Admission covers cache misses and [sleep]s:
+    at most [queue_capacity] of them may be admitted-but-incomplete at
+    once; request number [queue_capacity + 1] is shed {e immediately}
+    with an ["overloaded"] error reply instead of queuing unboundedly —
+    the client sees explicit backpressure, the daemon's memory stays
     bounded, and waiting work can never starve the protocol ops (ping /
-    stats / shutdown), which bypass admission.
+    stats / shutdown), which bypass admission. A cache hit takes no
+    slot and is never shed by a full queue.
 
     {b Result cache.} Solve and sweep results are cached under their
     {!Canon} canonical key (permutation-invariant over cores, content
@@ -25,20 +27,23 @@
     node budget are recomputed next time rather than served stale.
 
     {b Deadlines.} A request's [deadline_ms] starts at {!handle_line}
-    entry, so queue wait counts against it. A request whose deadline
-    expires before its solver starts gets a ["deadline_exceeded"]
-    error; an ILP solve that starts in time self-limits through
-    {!Soctam_core.Ilp_formulation.solve}'s deadline path and returns a
-    best-found ([optimal = false]) row. A race solve behaves the same
+    entry, so queue wait counts against it; only misses wait in the
+    queue, and a hit is served even past its deadline. A miss whose
+    deadline expires before its solver starts gets a
+    ["deadline_exceeded"] error; an ILP solve that starts in time
+    self-limits through {!Soctam_core.Ilp_formulation.solve}'s deadline
+    path and returns a best-found ([optimal = false]) row. A race solve behaves the same
     way: every portfolio engine observes the deadline cooperatively
     and the reply carries the best incumbent found so far with the
     partial verdict [optimal = false] — anytime behavior over the same
     wire.
 
     {b Telemetry.} Latencies (hit / miss end-to-end, queue wait, solver
-    wall time) land in windowless {!Soctam_obs.Hist} histograms — the
-    [stats] reply and {!metrics_text} report p50/p95/p99/p999 over
-    {e every} sample since startup, not a recent window. With a logger
+    wall time) land in windowless {!Soctam_obs.Hist} histograms. Queue
+    wait covers admitted requests only, timed from admission to a
+    worker picking the request up. The [stats] reply and
+    {!metrics_text} report p50/p95/p99/p999 over {e every} sample since
+    startup, not a recent window. With a logger
     attached, every request line produces one structured NDJSON event
     carrying its trace id: client-supplied (validated by
     {!Protocol.trace_id_of}) or server-generated, echoed in the reply
@@ -73,8 +78,9 @@ val create :
     returns — see the {e Streaming} section of {!Protocol}. It is
     called from a pool worker domain while the calling thread is
     parked, so a transport can write each line straight to its
-    connection without racing the final reply. Cached hits and
-    non-race or non-streamed requests emit nothing. *)
+    connection without racing the final reply. Cache hits, answered on
+    the calling thread, and non-race or non-streamed requests emit
+    nothing. *)
 val handle_line : ?emit:(string -> unit) -> t -> string -> string
 
 (** True once a [shutdown] request has been accepted; subsequent work

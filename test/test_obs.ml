@@ -46,9 +46,94 @@ let test_json_integers_exact () =
      integral floats, and parsing restores the exact value. *)
   let s = Json.to_string (Json.int 123456789) in
   Alcotest.(check string) "no decimal point" "123456789" s;
-  match parse_ok s with
+  (match parse_ok s with
   | Json.Num v -> Alcotest.(check int) "value" 123456789 (int_of_float v)
-  | _ -> Alcotest.fail "expected Num"
+  | _ -> Alcotest.fail "expected Num");
+  (* The integer fast path ends just below 1e15; past it, and for
+     non-integral or non-finite values, numbers print as before. *)
+  List.iter
+    (fun (x, expected) ->
+      Alcotest.(check string) expected expected (Json.to_string (Json.Num x)))
+    [ (-0.0, "-0");
+      (0.0, "0");
+      (999999999999999., "999999999999999");
+      (-999999999999999., "-999999999999999");
+      (1e15, "1e+15");
+      (-1e15, "-1e+15");
+      (0.5, "0.5");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+      (Float.neg_infinity, "null") ]
+
+(* The renderer as it was before its integer and unescaped-string fast
+   paths, kept verbatim as the reference those must match byte for
+   byte. *)
+module Reference_render = struct
+  let escape buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let add_num buf x =
+    if Float.is_integer x && Float.abs x < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.0f" x)
+    else if Float.is_finite x then
+      Buffer.add_string buf (Printf.sprintf "%.12g" x)
+    else Buffer.add_string buf "null" (* JSON has no inf/nan *)
+
+  let render add v =
+    let buf = Buffer.create 64 in
+    add buf v;
+    Buffer.contents buf
+end
+
+let prop_json_render_matches_reference =
+  let open QCheck in
+  (* Integral floats of 1 to 15 digits, either sign: the whole range the
+     integer fast path takes. *)
+  let integral =
+    Gen.(
+      map2
+        (fun k neg -> if neg then -.Float.of_int k else Float.of_int k)
+        (int_range 1 15 >>= fun digits ->
+         int_bound (int_of_float (10. ** float_of_int digits) - 1))
+        bool)
+  in
+  let number =
+    Gen.frequency
+      [ (4, integral);
+        ( 1,
+          Gen.oneofl
+            [ -0.0; 1e15; -1e15; 1e15 +. 2.; 1e300; Float.nan;
+              Float.infinity; Float.neg_infinity ] );
+        (2, Gen.float) ]
+  in
+  (* Strings over all 256 byte values, and strings with no control
+     bytes, which mostly take the unescaped path. *)
+  let bytes =
+    Gen.(
+      oneof
+        [ string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 24);
+          string_size ~gen:(char_range ' ' '\255') (int_bound 24) ])
+  in
+  Test.make ~name:"json rendering matches the reference renderer" ~count:2000
+    (make
+       ~print:(fun (x, s) -> Printf.sprintf "(%h, %S)" x s)
+       (Gen.pair number bytes))
+    (fun (x, s) ->
+      Json.to_string (Json.Num x) = Reference_render.(render add_num x)
+      && Json.to_string (Json.Str s) = Reference_render.(render escape s))
 
 let test_json_parse_errors () =
   let bad s =
@@ -108,9 +193,17 @@ let test_json_number_grammar () =
 
 let test_json_escapes () =
   (* \u escape decoding to UTF-8 bytes. *)
-  match parse_ok "\"a\\u00e9b\\n\"" with
+  (match parse_ok "\"a\\u00e9b\\n\"" with
   | Json.Str s -> Alcotest.(check string) "utf-8" "a\xc3\xa9b\n" s
-  | _ -> Alcotest.fail "expected Str"
+  | _ -> Alcotest.fail "expected Str");
+  (* A \u escape takes exactly four hex digits; OCaml's integer parser
+     would also skip underscores. *)
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "expected \\u escape failure on %S" s
+      | Error _ -> ())
+    [ {|"\u1_23"|}; {|"\u00_1"|} ]
 
 let test_json_member () =
   let doc = parse_ok "{\"a\": 1, \"b\": [2]}" in
@@ -406,6 +499,7 @@ let test_summary_tables_render () =
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json integers exact" `Quick test_json_integers_exact;
+    QCheck_alcotest.to_alcotest prop_json_render_matches_reference;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "json escapes" `Quick test_json_escapes;

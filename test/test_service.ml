@@ -542,6 +542,31 @@ let test_service_overload () =
         (Json.member "overloaded" reqs = Some (Json.int 1))
   | None -> Alcotest.fail "stats has no requests"
 
+(* A hit takes no admission slot: with the only slot held by a sleep,
+   a cached request is still answered, and nothing is shed. *)
+let test_service_hit_while_queue_full () =
+  with_service ~queue_capacity:1 @@ fun svc ->
+  let warm = reply_of_line svc solve_line in
+  Alcotest.(check bool) "warm ok" true (reply_ok warm);
+  let sleeper =
+    Thread.create
+      (fun () -> ignore (Service.handle_line svc {|{"op":"sleep","ms":300}|}))
+      ()
+  in
+  Thread.delay 0.05;
+  let hit = reply_of_line svc solve_line in
+  Thread.join sleeper;
+  Alcotest.(check bool) "hit ok" true (reply_ok hit);
+  Alcotest.(check bool) "hit cached" true (reply_cached hit);
+  let stats = Service.stats_json svc in
+  match Json.member "requests" stats with
+  | Some reqs ->
+      Alcotest.(check bool) "warm, sleep and hit completed" true
+        (Json.member "completed" reqs = Some (Json.int 3));
+      Alcotest.(check bool) "nothing shed" true
+        (Json.member "overloaded" reqs = Some (Json.int 0))
+  | None -> Alcotest.fail "stats has no requests"
+
 let test_service_shutdown () =
   with_service @@ fun svc ->
   Alcotest.(check bool) "not yet" false (Service.shutdown_requested svc);
@@ -688,6 +713,8 @@ let suite =
     Alcotest.test_case "deadline still hits cache" `Quick
       test_service_deadline_hit;
     Alcotest.test_case "overload shedding" `Quick test_service_overload;
+    Alcotest.test_case "hit served while queue is full" `Quick
+      test_service_hit_while_queue_full;
     Alcotest.test_case "shutdown" `Quick test_service_shutdown;
     Alcotest.test_case "race solve streams incumbents" `Quick
       test_service_race_stream;
