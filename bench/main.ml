@@ -1047,6 +1047,10 @@ let table_e8 () =
   if trace_path <> None then Obs.enable ();
   let seq_total = ref 0.0 and par_total = ref 0.0 in
   let all_rows = ref [] and all_identical = ref true in
+  (* Minor-heap words the sequential ILP sweeps allocate on this domain,
+     and the solves they run: the per-solve count repeats exactly from
+     run to run, so CI can ratchet it. *)
+  let ilp_words = ref 0.0 and ilp_solves = ref 0 in
   let table, sweeps =
     Pool.with_pool ~num_domains:jobs (fun pool ->
         List.split
@@ -1056,8 +1060,15 @@ let table_e8 () =
                  Sweep.cells ~constraints ~solver soc ~num_buses ~widths
                in
                let t0 = Clock.now_s () in
+               let words0 = Gc.minor_words () in
                let rows = Sweep.run cells in
+               let words = Gc.minor_words () -. words0 in
                let seq_s = Clock.elapsed_s ~since:t0 in
+               (match solver with
+               | Sweep.Ilp _ ->
+                   ilp_words := !ilp_words +. words;
+                   ilp_solves := !ilp_solves + List.length cells
+               | _ -> ());
                let t1 = Clock.now_s () in
                let par_rows = Sweep.run ~pool cells in
                let par_s = Clock.elapsed_s ~since:t1 in
@@ -1120,12 +1131,17 @@ let table_e8 () =
      %.2fx; rows identical across job counts: %s\n"
     !seq_total !par_total jobs speedup (yes_no !all_identical);
   let t = Sweep.totals !all_rows in
+  let words_per_solve =
+    Float.to_int (Float.round (!ilp_words /. float_of_int (max 1 !ilp_solves)))
+  in
   Printf.printf
     "LP work: %d pivots total; %d warm-started node LPs vs %d cold solves, \
      %d refactorizations\n\
-     model strengthening: %d clique rows, %d variables presolved away\n"
+     model strengthening: %d clique rows, %d variables presolved away\n\
+     MILP allocation: %d minor words per ILP solve (%d sequential solves)\n"
     t.Sweep.lp_pivots t.Sweep.warm_starts t.Sweep.cold_solves
-    t.Sweep.refactorizations t.Sweep.cuts_added t.Sweep.presolve_fixed;
+    t.Sweep.refactorizations t.Sweep.cuts_added t.Sweep.presolve_fixed
+    words_per_solve !ilp_solves;
   record sweep_doc
     [ ("sweeps", Json.Arr sweeps);
       ("seq_total_s", Json.Num !seq_total);
@@ -1136,7 +1152,8 @@ let table_e8 () =
       ("total_cold_solves", Json.int t.Sweep.cold_solves);
       ("total_refactorizations", Json.int t.Sweep.refactorizations);
       ("total_cuts_added", Json.int t.Sweep.cuts_added);
-      ("total_presolve_fixed", Json.int t.Sweep.presolve_fixed) ];
+      ("total_presolve_fixed", Json.int t.Sweep.presolve_fixed);
+      ("ilp_minor_words_per_solve", Json.int words_per_solve) ];
   if not !all_identical then
     print_endline "!! parallel sweep diverged from the sequential loop"
 

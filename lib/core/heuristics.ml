@@ -1,30 +1,48 @@
 type outcome = { architecture : Architecture.t; test_time : int }
 
-let cluster_setup problem =
+(* What every start of one [solve] shares: the clustering, a
+   cluster-by-cluster exclusion matrix and each cluster's testing time
+   at every width in [1, total_width]. *)
+type setup = {
+  problem : Problem.t;
+  clustering : Clustering.t;
+  excluded : bool array array;
+  times : int array array;
+      (** [times.(c).(w - 1)] is cluster [c]'s time at width [w]. *)
+}
+
+let setup problem =
   match Clustering.build problem with
   | Error _ -> None
-  | Ok clustering -> Some clustering
+  | Ok clustering ->
+      let m = Clustering.num_clusters clustering in
+      let excluded = Array.make_matrix m m false in
+      List.iter
+        (fun (a, b) ->
+          excluded.(a).(b) <- true;
+          excluded.(b).(a) <- true)
+        clustering.Clustering.exclusions;
+      let times =
+        Array.init m (fun c ->
+            Array.init (Problem.total_width problem) (fun k ->
+                Clustering.time clustering problem ~cluster:c ~width:(k + 1)))
+      in
+      Some { problem; clustering; excluded; times }
 
-let excluded clustering c1 c2 =
-  List.exists
-    (fun (a, b) -> (a = c1 && b = c2) || (a = c2 && b = c1))
-    clustering.Clustering.exclusions
-
-let greedy_clusters problem clustering widths =
-  let m = Clustering.num_clusters clustering in
+let greedy_clusters s widths =
+  let m = Clustering.num_clusters s.clustering in
   let nb = Array.length widths in
-  let time c b =
-    Clustering.time clustering problem ~cluster:c ~width:widths.(b)
+  let time c b = s.times.(c).(widths.(b) - 1) in
+  let key =
+    Array.init m (fun c ->
+        let acc = ref 0 in
+        for b = 0 to nb - 1 do
+          acc := max !acc (time c b)
+        done;
+        !acc)
   in
   let order = Array.init m Fun.id in
-  let key c =
-    let acc = ref 0 in
-    for b = 0 to nb - 1 do
-      acc := max !acc (time c b)
-    done;
-    !acc
-  in
-  Array.sort (fun a b -> compare (key b) (key a)) order;
+  Array.sort (fun a b -> compare key.(b) key.(a)) order;
   let loads = Array.make nb 0 in
   let buses = Array.make nb [] in
   let assign = Array.make m (-1) in
@@ -32,7 +50,7 @@ let greedy_clusters problem clustering widths =
     let best = ref (-1) in
     let best_load = ref max_int in
     for b = 0 to nb - 1 do
-      let clash = List.exists (fun c' -> excluded clustering c c') buses.(b) in
+      let clash = List.exists (fun c' -> s.excluded.(c).(c')) buses.(b) in
       if not clash then begin
         let load = loads.(b) + time c b in
         if load < !best_load then begin
@@ -52,61 +70,98 @@ let greedy_clusters problem clustering widths =
   let ok = Array.for_all place order in
   if ok then Some assign else None
 
-let evaluate problem arch =
-  let e = Cost.evaluate problem arch in
-  if e.Cost.feasible then Some e.Cost.test_time else None
+let greedy_from s ~widths =
+  match greedy_clusters s widths with
+  | None -> None
+  | Some cluster_assignment -> (
+      let assignment = Clustering.expand s.clustering cluster_assignment in
+      let architecture = Architecture.make ~widths ~assignment in
+      let e = Cost.evaluate s.problem architecture in
+      if e.Cost.feasible then
+        Some { architecture; test_time = e.Cost.test_time }
+      else None)
 
 let greedy problem ~widths =
-  match cluster_setup problem with
-  | None -> None
-  | Some clustering -> (
-      match greedy_clusters problem clustering widths with
-      | None -> None
-      | Some cluster_assignment ->
-          let assignment = Clustering.expand clustering cluster_assignment in
-          let architecture = Architecture.make ~widths ~assignment in
-          (match evaluate problem architecture with
-          | Some test_time -> Some { architecture; test_time }
-          | None -> None))
+  match setup problem with None -> None | Some s -> greedy_from s ~widths
 
-(* One pass of first-improvement neighbourhood exploration. Returns the
-   improved solution and whether anything changed. *)
-let improve_once problem (current : outcome) =
-  match cluster_setup problem with
-  | None -> (current, false)
-  | Some clustering ->
-      let arch = current.architecture in
-      let nb = Architecture.num_buses arch in
-      let widths = Array.copy arch.Architecture.widths in
-      let m = Clustering.num_clusters clustering in
-      let cluster_bus =
-        Array.init m (fun c ->
-            match clustering.Clustering.members.(c) with
-            | core :: _ -> arch.Architecture.assignment.(core)
-            | [] -> 0)
-      in
-      let rebuild () =
-        Architecture.make ~widths
-          ~assignment:(Clustering.expand clustering cluster_bus)
-      in
-      let best = ref current.test_time in
-      let improved = ref false in
-      let try_current () =
-        let candidate = rebuild () in
-        match evaluate problem candidate with
-        | Some t when t < !best ->
-            best := t;
-            improved := true;
-            true
-        | Some _ | None -> false
-      in
+(* First-improvement local search from [current]: cluster moves, then
+   cluster swaps, then unit width transfers, restarting from the first
+   move after every improvement. A candidate is scored from the bus
+   loads it changes, two buses at a time, and passes [Cost.evaluate]'s
+   checks exactly when it keeps the bus count and the width budget and
+   puts no excluded pair of clusters on one bus. *)
+let improve_from s (current : outcome) =
+  let arch = current.architecture in
+  let nb = Architecture.num_buses arch in
+  let members = s.clustering.Clustering.members in
+  let m = Array.length members in
+  let cluster_bus =
+    Array.init m (fun c ->
+        match members.(c) with
+        | core :: _ -> arch.Architecture.assignment.(core)
+        | [] -> 0)
+  in
+  (* Every candidate keeps the bus count and the total width, so with
+     either wrong none is feasible. *)
+  if
+    nb <> Problem.num_buses s.problem
+    || Architecture.total_width arch <> Problem.total_width s.problem
+  then current
+  else begin
+    let widths = Array.copy arch.Architecture.widths in
+    let time c b = s.times.(c).(widths.(b) - 1) in
+    let bus_load b =
+      let acc = ref 0 in
+      for c = 0 to m - 1 do
+        if cluster_bus.(c) = b then acc := !acc + time c b
+      done;
+      !acc
+    in
+    let loads = Array.make nb 0 in
+    (* The test time with buses [b1] and [b2] at loads [l1] and [l2]. *)
+    let test_time b1 l1 b2 l2 =
+      let acc = ref 0 in
+      for b = 0 to nb - 1 do
+        let l = if b = b1 then l1 else if b = b2 then l2 else loads.(b) in
+        acc := max !acc l
+      done;
+      !acc
+    in
+    let feasible () =
+      List.for_all
+        (fun (a, b) -> cluster_bus.(a) <> cluster_bus.(b))
+        s.clustering.Clustering.exclusions
+    in
+    let best = ref current.test_time in
+    let changed = ref false in
+    let improved = ref true in
+    (* [accept t] runs with the candidate applied. *)
+    let accept t =
+      if t < !best && feasible () then begin
+        best := t;
+        improved := true;
+        true
+      end
+      else false
+    in
+    while !improved do
+      improved := false;
+      for b = 0 to nb - 1 do
+        loads.(b) <- bus_load b
+      done;
       (* Cluster moves. *)
       for c = 0 to m - 1 do
         let original = cluster_bus.(c) in
         for b = 0 to nb - 1 do
           if b <> original && not !improved then begin
+            let t =
+              test_time original
+                (loads.(original) - time c original)
+                b
+                (loads.(b) + time c b)
+            in
             cluster_bus.(c) <- b;
-            if not (try_current ()) then cluster_bus.(c) <- original
+            if not (accept t) then cluster_bus.(c) <- original
           end
         done
       done;
@@ -116,9 +171,15 @@ let improve_once problem (current : outcome) =
           for c2 = c1 + 1 to m - 1 do
             if (not !improved) && cluster_bus.(c1) <> cluster_bus.(c2) then begin
               let b1 = cluster_bus.(c1) and b2 = cluster_bus.(c2) in
+              let t =
+                test_time b1
+                  (loads.(b1) - time c1 b1 + time c2 b1)
+                  b2
+                  (loads.(b2) - time c2 b2 + time c1 b2)
+              in
               cluster_bus.(c1) <- b2;
               cluster_bus.(c2) <- b1;
-              if not (try_current ()) then begin
+              if not (accept t) then begin
                 cluster_bus.(c1) <- b1;
                 cluster_bus.(c2) <- b2
               end
@@ -132,30 +193,36 @@ let improve_once problem (current : outcome) =
             if (not !improved) && src <> dst && widths.(src) > 1 then begin
               widths.(src) <- widths.(src) - 1;
               widths.(dst) <- widths.(dst) + 1;
-              if not (try_current ()) then begin
+              let t = test_time src (bus_load src) dst (bus_load dst) in
+              if not (accept t) then begin
                 widths.(src) <- widths.(src) + 1;
                 widths.(dst) <- widths.(dst) - 1
               end
             end
           done
         done;
-      if !improved then
-        ({ architecture = rebuild (); test_time = !best }, true)
-      else (current, false)
+      if !improved then changed := true
+    done;
+    if !changed then
+      { architecture =
+          Architecture.make ~widths
+            ~assignment:(Clustering.expand s.clustering cluster_bus);
+        test_time = !best }
+    else current
+  end
 
 let improve problem outcome =
-  let rec loop current =
-    let next, changed = improve_once problem current in
-    if changed then loop next else current
-  in
-  loop outcome
+  match setup problem with
+  | None -> outcome
+  | Some s -> improve_from s outcome
 
 let balanced_partition ~total ~parts =
   let base = total / parts and extra = total mod parts in
   Array.init parts (fun b -> if b < extra then base + 1 else base)
 
 let random_partition state ~total ~parts =
-  (* parts-1 distinct cut points in [1, total-1]. *)
+  (* Every bus starts at width 1; the [total - parts] spare wires then
+     go one at a time to uniformly drawn buses. *)
   let widths = Array.make parts 1 in
   let remaining = total - parts in
   for _ = 1 to remaining do
@@ -174,17 +241,21 @@ let solve ?(seed = 1) ?(restarts = 8) ?(should_stop = fun () -> false)
     balanced_partition ~total:w ~parts:nb
     :: List.init restarts (fun _ -> random_partition state ~total:w ~parts:nb)
   in
+  let s = setup problem in
   let consider best widths =
     if should_stop () then best
     else
-      match greedy problem ~widths with
+      match s with
       | None -> best
-      | Some outcome -> (
-          let polished = improve problem outcome in
-          match best with
-          | Some b when b.test_time <= polished.test_time -> best
-          | Some _ | None ->
-              report polished;
-              Some polished)
+      | Some s -> (
+          match greedy_from s ~widths with
+          | None -> best
+          | Some outcome -> (
+              let polished = improve_from s outcome in
+              match best with
+              | Some b when b.test_time <= polished.test_time -> best
+              | Some _ | None ->
+                  report polished;
+                  Some polished))
   in
   List.fold_left consider None starts

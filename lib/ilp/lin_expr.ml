@@ -30,8 +30,13 @@ let add e1 e2 =
   { terms = merge ( +. ) e1.terms e2.terms;
     constant = e1.constant +. e2.constant }
 
+(* A constant-only [e2] (as in [Model.add_constr]) leaves each term at
+   [a -. 0.0 = a]: the merge reduces to [normalize], which returns the
+   map itself, uncopied, when no term drops. *)
 let sub e1 e2 =
-  { terms = merge ( -. ) e1.terms e2.terms;
+  { terms =
+      (if Int_map.is_empty e2.terms then normalize e1.terms
+       else merge ( -. ) e1.terms e2.terms);
     constant = e1.constant -. e2.constant }
 
 let scale k e =
@@ -40,13 +45,34 @@ let scale k e =
     { terms = Int_map.map (fun c -> k *. c) e.terms;
       constant = k *. e.constant }
 
-let add_term e v c = add e (var ~coeff:c v)
+(* [terms] with [c] added to [v]'s coefficient by [merge]'s rule: the
+   running sum leaves the map once it falls to [eps], and a later term
+   starts it afresh. *)
+let accumulate terms v c =
+  Int_map.update v
+    (fun prev ->
+      let s = match prev with Some a -> a +. c | None -> c in
+      if Float.abs s > eps then Some s else None)
+    terms
 
 let of_terms ?(constant = 0.0) pairs =
-  let f acc (v, c) = add_term acc v c in
-  add (const constant) (List.fold_left f zero pairs)
+  let add_pair terms (v, c) =
+    if v < 0 then invalid_arg "Lin_expr.var: negative variable index";
+    (* A term at most [eps] is skipped, as [var] drops it. *)
+    if Float.abs c > eps then accumulate terms v c else terms
+  in
+  (* [+. 0.0]: the constant is added to the fold's zero, which turns a
+     -0.0 into 0.0. *)
+  { terms = List.fold_left add_pair Int_map.empty pairs;
+    constant = constant +. 0.0 }
 
-let sum es = List.fold_left add zero es
+let sum es =
+  let add_expr terms e =
+    Int_map.fold (fun v c acc -> accumulate acc v c) e.terms terms
+  in
+  { terms = List.fold_left add_expr Int_map.empty es;
+    constant = List.fold_left (fun acc e -> acc +. e.constant) 0.0 es }
+
 let constant e = e.constant
 
 let coeff e v =

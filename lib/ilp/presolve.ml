@@ -109,27 +109,32 @@ let reduce (model : Model.t) : (t, string) result =
       check_box root
     end
   in
-  (* Re-express a row in the current representative/fixing state. *)
+  (* Re-express a row in the current representative/fixing state. A
+     representative's coefficients sum in [acc], in term order; [stamp]
+     marks the entries the current row owns, so the scratch arrays
+     serve every row without clearing. *)
+  let acc = Array.make n 0.0 and stamp = Array.make n (-1) in
+  let row_stamp = ref 0 in
   let substitute (r : wrow) : wrow =
-    let acc = Hashtbl.create 8 in
+    incr row_stamp;
+    let cur = !row_stamp in
     let order = ref [] in
     let rhs = ref r.wrhs in
     List.iter
       (fun (v, c) ->
         let v = find v in
         if is_fixed v then rhs := !rhs -. (c *. lb.(v))
+        else if stamp.(v) = cur then acc.(v) <- acc.(v) +. c
         else begin
-          match Hashtbl.find_opt acc v with
-          | Some c0 -> Hashtbl.replace acc v (c0 +. c)
-          | None ->
-              Hashtbl.add acc v c;
-              order := v :: !order
+          stamp.(v) <- cur;
+          acc.(v) <- c;
+          order := v :: !order
         end)
       r.wterms;
     let terms =
       List.rev !order
       |> List.filter_map (fun v ->
-             let c = Hashtbl.find acc v in
+             let c = acc.(v) in
              if Float.abs c > coeff_eps then Some (v, c) else None)
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in

@@ -178,9 +178,6 @@ module Incremental = struct
     for v = 0 to nstruct - 1 do
       if cmax.(v) > 0.0 then cscale.(v) <- 1.0 /. pow2_near cmax.(v)
     done;
-    (* Dense rows are built once for equilibration, converted to sparse
-       columns below, and discarded. *)
-    let a0 = Array.init (max 1 m) (fun _ -> Array.make (max 1 nstruct) 0.0) in
     let b0 = Array.make (max 1 m) 0.0 in
     let lb0 = Array.make ncols 0.0 and ub0 = Array.make ncols 0.0 in
     for v = 0 to nstruct - 1 do
@@ -190,20 +187,27 @@ module Incremental = struct
       lb0.(v) <- info.Model.lb /. cscale.(v);
       ub0.(v) <- info.Model.ub /. cscale.(v)
     done;
+    (* Row equilibration from the sparse terms: row [r] is scaled by a
+       power of two near its largest column-scaled entry, and entry
+       [(coef *. cscale.(v)) *. rscale.(r)] goes to column [v] when it
+       is nonzero. [ccount] sizes the columns for the fill below. *)
+    let rscale = Array.make (max 1 m) 1.0 in
+    let ccount = Array.make (max 1 nstruct) 0 in
     Array.iteri
       (fun r c ->
-        let row = a0.(r) in
+        let rmax = ref 0.0 in
         Lin_expr.iter_terms
-          (fun v coef -> row.(v) <- row.(v) +. (coef *. cscale.(v)))
+          (fun v coef ->
+            rmax := Float.max !rmax (Float.abs (coef *. cscale.(v))))
           c.Model.expr;
-        let rmax =
-          Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 row
-        in
-        let rscale = 1.0 /. pow2_near rmax in
-        for v = 0 to nstruct - 1 do
-          row.(v) <- row.(v) *. rscale
-        done;
-        b0.(r) <- c.Model.rhs *. rscale;
+        let scale = 1.0 /. pow2_near !rmax in
+        rscale.(r) <- scale;
+        Lin_expr.iter_terms
+          (fun v coef ->
+            if coef *. cscale.(v) *. scale <> 0.0 then
+              ccount.(v) <- ccount.(v) + 1)
+          c.Model.expr;
+        b0.(r) <- c.Model.rhs *. scale;
         let s = slack_base + r in
         match c.Model.sense with
         | Model.Le ->
@@ -222,20 +226,23 @@ module Incremental = struct
       lb0.(a) <- 0.0;
       ub0.(a) <- 0.0
     done;
-    let col_idx = Array.make (max 1 nstruct) [||] in
-    let col_val = Array.make (max 1 nstruct) [||] in
-    for v = 0 to nstruct - 1 do
-      let rows_l = ref [] and vals_l = ref [] in
-      for r = m - 1 downto 0 do
-        let a = a0.(r).(v) in
-        if a <> 0.0 then begin
-          rows_l := r :: !rows_l;
-          vals_l := a :: !vals_l
-        end
-      done;
-      col_idx.(v) <- Array.of_list !rows_l;
-      col_val.(v) <- Array.of_list !vals_l
-    done;
+    (* Filled row by row, so each column lists its rows ascending. *)
+    let col_idx = Array.map (fun k -> Array.make k 0) ccount in
+    let col_val = Array.map (fun k -> Array.make k 0.0) ccount in
+    let filled = Array.make (max 1 nstruct) 0 in
+    Array.iteri
+      (fun r c ->
+        Lin_expr.iter_terms
+          (fun v coef ->
+            let a = coef *. cscale.(v) *. rscale.(r) in
+            if a <> 0.0 then begin
+              let k = filled.(v) in
+              col_idx.(v).(k) <- r;
+              col_val.(v).(k) <- a;
+              filled.(v) <- k + 1
+            end)
+          c.Model.expr)
+      constrs;
     let cost = Array.make (max 1 ncols) 0.0 in
     let direction, obj_expr = Model.objective model in
     let sign =
@@ -298,15 +305,32 @@ module Incremental = struct
 
   let val_of t j = if Bytes.get t.vstat j = st_upper then t.ub.(j) else t.lb.(j)
 
+  (* Unchecked access, for the node-LP kernels [add_col], [dot_col],
+     [ltran], [utran] and [btran] only. Every index they use is either
+     a loop counter below [t.m], or a value from an array the handle
+     fills itself with positions below [t.m] ([col_idx], [perm],
+     [l_row], [nz], [eta_idx]), or an entry bound read from [l_start],
+     which the L store ([l_row], [l_val]) bounds. The handle's scratch
+     vectors, [umat] rows and eta slots hold at least [t.m] entries,
+     and each kernel asserts on entry that its vector argument does
+     too. [.%()] is for float arrays, [.!()] for int arrays: each is
+     monomorphic, so float reads stay unboxed. Pure moves (the
+     Forrest-Tomlin shifts) use [Array.blit] instead. *)
+  let ( .%() ) (a : float array) i = Array.unsafe_get a i
+  let ( .%()<- ) (a : float array) i (x : float) = Array.unsafe_set a i x
+  let ( .!() ) (a : int array) i = Array.unsafe_get a i
+  let ( .!()<- ) (a : int array) i (x : int) = Array.unsafe_set a i x
+
   (* Column scatter v := v + s * a_j: structural columns from the
      sparse store, slack j a unit vector, artificial j a signed unit
      vector. *)
   let add_col t j s v =
+    assert (Array.length v >= t.m);
     if j < t.nstruct then begin
       let idx = t.col_idx.(j) and vl = t.col_val.(j) in
       for k = 0 to Array.length idx - 1 do
-        let r = idx.(k) in
-        v.(r) <- v.(r) +. (s *. vl.(k))
+        let r = idx.!(k) in
+        v.%(r) <- v.%(r) +. (s *. vl.%(k))
       done
     end
     else if j < t.art_base then begin
@@ -319,11 +343,12 @@ module Incremental = struct
     end
 
   let dot_col t j y =
+    assert (Array.length y >= t.m);
     if j < t.nstruct then begin
       let idx = t.col_idx.(j) and vl = t.col_val.(j) in
       let acc = ref 0.0 in
       for k = 0 to Array.length idx - 1 do
-        acc := !acc +. (vl.(k) *. y.(idx.(k)))
+        acc := !acc +. (vl.%(k) *. y.%(idx.!(k)))
       done;
       !acc
     end
@@ -476,29 +501,29 @@ module Incremental = struct
      turns it into B^-1 v. *)
   let ltran t v =
     let m = t.m in
+    assert (Array.length v >= m);
+    let scr = t.scr and perm = t.perm in
     for i = 0 to m - 1 do
-      t.scr.(i) <- v.(t.perm.(i))
+      scr.%(i) <- v.%(perm.!(i))
     done;
-    Array.blit t.scr 0 v 0 m;
+    Array.blit scr 0 v 0 m;
     let ls = t.l_start and lr = t.l_row and lv = t.l_val in
     for k = 0 to m - 1 do
-      let vk = v.(k) in
+      let vk = v.%(k) in
       if vk <> 0.0 then
-        for p = ls.(k) to ls.(k + 1) - 1 do
-          let i = lr.(p) in
-          v.(i) <- v.(i) -. (lv.(p) *. vk)
+        for p = ls.!(k) to ls.!(k + 1) - 1 do
+          let i = lr.!(p) in
+          v.%(i) <- v.%(i) -. (lv.%(p) *. vk)
         done
     done;
     for u = 0 to t.nupd - 1 do
       let r = t.upd_pos.(u) in
       let save = v.(r) in
-      for i = r to m - 2 do
-        v.(i) <- v.(i + 1)
-      done;
+      Array.blit v (r + 1) v r (m - 1 - r);
       let idx = t.eta_idx.(u) and mu = t.eta_val.(u) in
       let acc = ref save in
       for e = 0 to t.eta_len.(u) - 1 do
-        acc := !acc -. (mu.(e) *. v.(idx.(e)))
+        acc := !acc -. (mu.%(e) *. v.%(idx.!(e)))
       done;
       v.(m - 1) <- !acc
     done
@@ -507,19 +532,20 @@ module Incremental = struct
      summing over the already-solved positions whose value is nonzero
      ([nz] lists them, found in descending order, read ascending). *)
   let utran t v =
+    assert (Array.length v >= t.m);
     let u = t.umat and nz = t.nz in
     let cnt = ref 0 in
     for k = t.m - 1 downto 0 do
       let row = u.(k) in
-      let acc = ref v.(k) in
+      let acc = ref v.%(k) in
       for q = !cnt - 1 downto 0 do
-        let j = nz.(q) in
-        acc := !acc -. (row.(j) *. v.(j))
+        let j = nz.!(q) in
+        acc := !acc -. (row.%(j) *. v.%(j))
       done;
-      let x = !acc /. row.(k) in
-      v.(k) <- x;
+      let x = !acc /. row.%(k) in
+      v.%(k) <- x;
       if x <> 0.0 then begin
-        nz.(!cnt) <- k;
+        nz.!(!cnt) <- k;
         incr cnt
       end
     done
@@ -531,48 +557,48 @@ module Incremental = struct
      ready for [dot_col]. *)
   let btran t v =
     let m = t.m in
+    assert (Array.length v >= m);
     let u = t.umat and nz = t.nz in
     let cnt = ref 0 in
     for k = 0 to m - 1 do
-      let acc = ref v.(k) in
+      let acc = ref v.%(k) in
       for q = 0 to !cnt - 1 do
-        let j = nz.(q) in
-        acc := !acc -. (u.(j).(k) *. v.(j))
+        let j = nz.!(q) in
+        acc := !acc -. (u.(j).%(k) *. v.%(j))
       done;
-      let x = !acc /. u.(k).(k) in
-      v.(k) <- x;
+      let x = !acc /. u.(k).%(k) in
+      v.%(k) <- x;
       if x <> 0.0 then begin
-        nz.(!cnt) <- k;
+        nz.!(!cnt) <- k;
         incr cnt
       end
     done;
     for ui = t.nupd - 1 downto 0 do
       let r = t.upd_pos.(ui) in
-      let vm = v.(m - 1) in
+      let vm = v.%(m - 1) in
       if vm <> 0.0 then begin
         let idx = t.eta_idx.(ui) and mu = t.eta_val.(ui) in
         for e = 0 to t.eta_len.(ui) - 1 do
-          let j = idx.(e) in
-          v.(j) <- v.(j) -. (mu.(e) *. vm)
+          let j = idx.!(e) in
+          v.%(j) <- v.%(j) -. (mu.%(e) *. vm)
         done
       end;
-      for i = m - 1 downto r + 1 do
-        v.(i) <- v.(i - 1)
-      done;
+      Array.blit v r v (r + 1) (m - 1 - r);
       v.(r) <- vm
     done;
     let ls = t.l_start and lr = t.l_row and lv = t.l_val in
     for k = m - 2 downto 0 do
-      let acc = ref v.(k) in
-      for p = ls.(k) to ls.(k + 1) - 1 do
-        acc := !acc -. (lv.(p) *. v.(lr.(p)))
+      let acc = ref v.%(k) in
+      for p = ls.!(k) to ls.!(k + 1) - 1 do
+        acc := !acc -. (lv.%(p) *. v.%(lr.!(p)))
       done;
-      v.(k) <- !acc
+      v.%(k) <- !acc
     done;
+    let scr = t.scr and perm = t.perm in
     for i = 0 to m - 1 do
-      t.scr.(t.perm.(i)) <- v.(i)
+      scr.%(perm.!(i)) <- v.%(i)
     done;
-    Array.blit t.scr 0 v 0 m
+    Array.blit scr 0 v 0 m
 
   (* FTRAN of column [j]: leaves the spike in [v_spike] (for a possible
      Forrest-Tomlin update) and B^-1 a_j in [v_alpha]. *)
@@ -613,27 +639,19 @@ module Incremental = struct
   let ft_update t ~pos:r ~spike =
     let m = t.m in
     let u = t.umat in
-    for jj = r + 1 to m - 1 do
-      t.scr_row.(jj) <- u.(r).(jj)
-    done;
+    let shifted = m - 1 - r in
+    Array.blit u.(r) (r + 1) t.scr_row (r + 1) shifted;
     for i = 0 to r - 1 do
       let row = u.(i) in
-      for j = r to m - 2 do
-        row.(j) <- row.(j + 1)
-      done;
+      Array.blit row (r + 1) row r shifted;
       row.(m - 1) <- spike.(i)
     done;
     for i = r to m - 2 do
-      let dst = u.(i) and src = u.(i + 1) in
-      for j = r to m - 2 do
-        dst.(j) <- src.(j + 1)
-      done;
-      dst.(m - 1) <- spike.(i + 1)
+      Array.blit u.(i + 1) (r + 1) u.(i) r shifted;
+      u.(i).(m - 1) <- spike.(i + 1)
     done;
     let last = u.(m - 1) in
-    for j = r to m - 2 do
-      last.(j) <- t.scr_row.(j + 1)
-    done;
+    Array.blit t.scr_row (r + 1) last r shifted;
     last.(m - 1) <- spike.(r);
     let slot = t.nupd in
     if Array.length t.eta_idx.(slot) = 0 then begin

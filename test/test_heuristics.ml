@@ -80,6 +80,132 @@ let prop_heuristic_often_optimal_unconstrained =
           float_of_int h.Heuristics.test_time <= 1.3 *. float_of_int opt
       | _, _ -> false)
 
+(* --- the search matches the reference copy ([Heuristics_ref]) --- *)
+
+module Ref = Heuristics_ref
+module Architecture = Soctam_core.Architecture
+
+(* Specs up to 12 cores, past [Gen.spec_arbitrary]'s 6. *)
+let wide_spec_arbitrary =
+  QCheck.make ~print:Gen.spec_print
+    (QCheck.Gen.map
+       (fun seed -> Gen.spec_of_seed ~max_cores:12 ~seed ())
+       (QCheck.Gen.int_bound 1_000_000))
+
+let view arch test_time =
+  ( Array.to_list arch.Architecture.widths,
+    Array.to_list arch.Architecture.assignment,
+    test_time )
+
+let view_outcome (o : Heuristics.outcome) = view o.architecture o.test_time
+let view_ref (o : Ref.outcome) = view o.Ref.architecture o.Ref.test_time
+
+let to_ref (o : Heuristics.outcome) =
+  { Ref.architecture = o.architecture; test_time = o.test_time }
+
+let same (o : Heuristics.outcome option) (r : Ref.outcome option) =
+  Option.map view_outcome o = Option.map view_ref r
+
+(* Both problems a spec gives: with and without its constraint pairs. *)
+let problems spec =
+  List.map (fun constrained -> Gen.problem_of_spec ~constrained spec)
+    [ true; false ]
+
+let partitions spec problem =
+  let nb = Problem.num_buses problem and w = Problem.total_width problem in
+  let state = Random.State.make [| spec.Gen.seed |] in
+  Ref.balanced_partition ~total:w ~parts:nb
+  :: List.init 4 (fun _ -> Ref.random_partition state ~total:w ~parts:nb)
+
+(* [solve] returns the reference's outcome, fires [report] with the same
+   sequence and polls [should_stop] as often; the last case stops the
+   search after its third poll. *)
+let prop_solve_matches_reference =
+  QCheck.Test.make ~name:"solve runs the reference search" ~count:150
+    wide_spec_arbitrary (fun spec ->
+      List.for_all
+        (fun problem ->
+          List.for_all
+            (fun (seed, restarts, stop_after) ->
+              let stopper () =
+                let polls = ref 0 in
+                ( polls,
+                  fun () ->
+                    incr polls;
+                    !polls > stop_after )
+              in
+              let got = ref [] and want = ref [] in
+              let got_polls, should_stop = stopper () in
+              let o =
+                Heuristics.solve ~seed ~restarts ~should_stop
+                  ~report:(fun o -> got := view_outcome o :: !got)
+                  problem
+              in
+              let want_polls, should_stop = stopper () in
+              let r =
+                Ref.solve ~seed ~restarts ~should_stop
+                  ~report:(fun o -> want := view_ref o :: !want)
+                  problem
+              in
+              same o r && !got = !want && !got_polls = !want_polls)
+            [ (1, 0, max_int); (1, 8, max_int); (7, 0, max_int);
+              (7, 8, max_int); (7, 8, 3) ])
+        (problems spec))
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"greedy matches the reference" ~count:150
+    wide_spec_arbitrary (fun spec ->
+      List.for_all
+        (fun problem ->
+          List.for_all
+            (fun widths ->
+              same
+                (Heuristics.greedy problem ~widths)
+                (Ref.greedy problem ~widths))
+            (partitions spec problem))
+        (problems spec))
+
+(* From greedy outcomes, and from starts [Cost.evaluate] rejects: every
+   core on bus 0 (which breaks every exclusion pair), one wire over the
+   budget, and one bus too many. *)
+let prop_improve_matches_reference =
+  QCheck.Test.make ~name:"improve matches the reference" ~count:150
+    wide_spec_arbitrary (fun spec ->
+      List.for_all
+        (fun problem ->
+          let n = Problem.num_cores problem
+          and nb = Problem.num_buses problem
+          and w = Problem.total_width problem in
+          let start ~total ~parts =
+            let architecture =
+              Architecture.make
+                ~widths:(Ref.balanced_partition ~total ~parts)
+                ~assignment:(Array.make n 0)
+            in
+            let test_time =
+              if total = w && parts = nb then
+                Cost.test_time problem architecture
+              else max_int
+            in
+            { Heuristics.architecture; test_time }
+          in
+          let greedy =
+            List.filter_map
+              (fun widths -> Heuristics.greedy problem ~widths)
+              (partitions spec problem)
+          in
+          let starts =
+            greedy
+            @ [ start ~total:w ~parts:nb; start ~total:(w + 1) ~parts:nb ]
+            @ if w > nb then [ start ~total:w ~parts:(nb + 1) ] else []
+          in
+          List.for_all
+            (fun s ->
+              view_outcome (Heuristics.improve problem s)
+              = view_ref (Ref.improve problem (to_ref s)))
+            starts)
+        (problems spec))
+
 let suite =
   [ Alcotest.test_case "greedy feasible" `Quick test_greedy_feasible;
     Alcotest.test_case "greedy respects exclusions" `Quick
@@ -88,4 +214,7 @@ let suite =
       test_improve_never_worsens;
     Alcotest.test_case "solve deterministic" `Quick test_solve_deterministic;
     QCheck_alcotest.to_alcotest prop_heuristic_bounded_by_optimum;
-    QCheck_alcotest.to_alcotest prop_heuristic_often_optimal_unconstrained ]
+    QCheck_alcotest.to_alcotest prop_heuristic_often_optimal_unconstrained;
+    QCheck_alcotest.to_alcotest prop_solve_matches_reference;
+    QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
+    QCheck_alcotest.to_alcotest prop_improve_matches_reference ]

@@ -189,7 +189,9 @@ let test_integral_incumbent_once () =
    and the LP arithmetic (how each LP pivots). If a change moves any of
    them, the 21,000-candidate MILP screen
    ([perfbench/bench.exe --screen-ilp 0:21000]) must be rerun against
-   [perfbench/known_bad.ml]. *)
+   [perfbench/known_bad.ml]. The heuristic seed is pinned too: on all
+   three instances it already finds the optimum, so a changed seed
+   fails here before it moves a node count. *)
 let test_node_lp_tripwire () =
   List.iter
     (fun ( (seed, cores, num_buses, total_width, d_max, p_max),
@@ -203,6 +205,8 @@ let test_node_lp_tripwire () =
       Alcotest.(check bool) (name ^ " optimal") true r.Ilp.optimal;
       Alcotest.(check (option int)) (name ^ " test time") (Some time)
         (Option.map snd r.Ilp.solution);
+      Alcotest.(check (option int)) (name ^ " seeded bound") (Some time)
+        st.Ilp.seeded_bound;
       Alcotest.(check (list int))
         (name ^ " nodes/pivots/warm/cold/refactorizations/cuts/fixed")
         [ nodes; pivots; warm; cold; refactors; cuts; fixed ]
