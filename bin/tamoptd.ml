@@ -1,10 +1,10 @@
 (* tamoptd: the solver daemon. Binds a Unix-domain or TCP socket,
    speaks the NDJSON protocol of Soctam_service.Protocol, and serves
    solve/sweep requests from a result cache on the connection threads,
-   and cache misses from a pool of worker domains behind an admission
-   queue. Optional side channels: a structured
-   NDJSON request log (--log) and a Prometheus /metrics + /health HTTP
-   listener (--metrics). *)
+   and cache misses behind an admission queue on up to --jobs solver
+   domains, each started when a miss would otherwise wait. Optional
+   side channels: a structured NDJSON request log (--log) and a
+   Prometheus /metrics + /health HTTP listener (--metrics). *)
 
 module Pool = Soctam_engine.Pool
 module Json = Soctam_obs.Json
@@ -30,11 +30,10 @@ let listen_arg =
 
 let jobs_arg =
   let doc =
-    "Domains in the solver pool, counting the daemon's own domain, which \
-     accepts connections, does I/O and answers cache hits on the \
-     connection threads: $(docv) solves cache misses on N-1 worker \
-     domains, and 1 solves them inline on the connection threads. 0 uses \
-     every core."
+    "Solver domains for cache misses, beside the daemon's own domain, \
+     which accepts connections, does I/O and answers cache hits on the \
+     connection threads. Each is started only when a miss would \
+     otherwise wait, so up to $(docv) run. 0 uses one per core."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -99,6 +98,13 @@ let metrics_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics" ] ~docv:"ADDR" ~doc)
 
+(* Misses promote solve data that dies soon after, while the live heap
+   stays small; at OCaml 5.1's default of 120 the major heap grows with
+   each solver domain. 40 paces the major GC to the live heap, for more
+   GC work per allocated word (EXPERIMENTS P9). Overrides OCAMLRUNPARAM's
+   [o=]. *)
+let space_overhead = 40
+
 let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
     store_dir store_segment_bytes metrics =
   let parsed =
@@ -117,6 +123,7 @@ let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
       2
   | Ok (addr, metrics_addr) -> (
       try
+        Gc.set { (Gc.get ()) with Gc.space_overhead };
         let jobs =
           if jobs < 0 then
             raise
@@ -153,7 +160,8 @@ let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
               store)
             store_dir
         in
-        Pool.with_pool ~num_domains:jobs (fun pool ->
+        (* [Pool] counts its caller, the daemon's domain: it runs no task. *)
+        Pool.with_pool ~num_domains:(jobs + 1) (fun pool ->
             let service =
               Service.create ~cache_capacity:cache ~queue_capacity:queue
                 ?log ?store ~pool ()
@@ -174,16 +182,9 @@ let run listen jobs cache queue stats_json log_dest log_max_bytes log_trace
             in
             let on_bound () =
               Printf.printf
-                "tamoptd: listening on %s (jobs=%d: %s; cache=%d queue=%d%s)\n%!"
-                (Addr.to_string addr) jobs
-                (if jobs = 1 then
-                   "hits and solves inline on connection threads"
-                 else
-                   Printf.sprintf
-                     "hits on connection threads, %d solver domain%s"
-                     (jobs - 1)
-                     (if jobs = 2 then "" else "s"))
-                cache queue
+                "tamoptd: listening on %s (solver domains: up to %d, on \
+                 demand; cache=%d queue=%d%s)\n%!"
+                (Addr.to_string addr) jobs cache queue
                 (match metrics_addr with
                 | Some m -> Printf.sprintf " metrics=%s" (Addr.to_string m)
                 | None -> "")

@@ -1,9 +1,9 @@
-(** A fixed pool of OCaml 5 domains with a bounded task queue.
+(** A pool of OCaml 5 domains with a bounded task queue.
 
-    The pool is sized once at {!create} (default:
-    [Domain.recommended_domain_count ()]) and reused across sweeps so
-    domain spawn cost is paid once per process, not per batch. Work is
-    distributed by self-scheduling: idle workers — and the submitting
+    A worker domain is spawned only when a queued task would otherwise
+    wait, and lives until {!shutdown}: a caller that never has two tasks
+    in flight keeps one worker. Work is distributed by
+    self-scheduling: idle workers — and, in {!map}, the submitting
     domain itself, which joins the crew while a batch is in flight —
     pull the next task from a shared queue, so long cells do not stall
     short ones behind a static partition.
@@ -18,13 +18,16 @@ type t
 
 (** [create ?num_domains ()] builds a pool. [num_domains] counts the
     calling domain: [1] means no domains are ever spawned, [n >= 2]
-    spawns [n - 1] workers. Defaults to
+    allows [n - 1] workers, none spawned yet. Defaults to
     [Domain.recommended_domain_count ()].
     Raises [Invalid_argument] when [num_domains < 1]. *)
 val create : ?num_domains:int -> unit -> t
 
 (** Number of domains (including the caller) the pool schedules over. *)
 val num_domains : t -> int
+
+(** Worker domains spawned so far: at most [num_domains t - 1]. *)
+val workers : t -> int
 
 (** [map t ~f arr] applies [f] to every element, in parallel across the
     pool's domains, and returns the results in input order. If any [f]
@@ -35,21 +38,15 @@ val num_domains : t -> int
     Raises [Invalid_argument] if the pool has been shut down. *)
 val map : t -> f:('a -> 'b) -> 'a array -> 'b array
 
-(** [submit t task] enqueues one fire-and-forget task for the worker
-    domains — the asynchronous complement to the batch-synchronous
-    {!map}, used by request servers that must not block the submitting
-    thread. Delivery of results is the task's own business (e.g. a
-    mutex/condition cell). On a one-domain pool the task runs inline in
-    the caller. Exceptions escaping the task are contained (counted as
-    the [pool.submit_exn] metric), never propagated — report failures
-    from inside the task. Callers are responsible for bounding the
-    number of outstanding tasks (the daemon's admission queue does);
-    {!submit} itself never blocks.
+(** [run t f] runs [f] on a worker domain, blocking only the calling
+    thread, and returns its value or re-raises its exception there. On
+    a one-domain pool [f] runs inline. Callers bound the number of
+    outstanding calls (the daemon's admission queue does).
     Raises [Invalid_argument] when the pool has been shut down. *)
-val submit : t -> (unit -> unit) -> unit
+val run : t -> (unit -> 'a) -> 'a
 
 (** Terminate the worker domains and join them. Idempotent; the pool
-    rejects further {!map} calls. *)
+    rejects further {!map} and {!run} calls. *)
 val shutdown : t -> unit
 
 (** [with_pool ?num_domains f] runs [f] over a fresh pool and shuts it

@@ -496,44 +496,22 @@ let plan t ~id ~trace_id ~note ~arrival ~emit request =
       (* Protocol ops never reach admission. *)
       assert false
 
-(* Dispatch to a worker domain and park the connection thread until the
-   reply is ready. The task is total — any escaping exception becomes an
-   "internal" reply — because [Pool.submit] swallows exceptions and a
-   lost signal would strand the connection thread forever. *)
+(* Run on a worker domain, parking the connection thread until the
+   reply is ready; an exception becomes an "internal" reply. *)
 let run_on_pool t ~id ~trace_id ~note f =
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let result = ref None in
   let admitted = Clock.now_s () in
-  Pool.submit t.pool (fun () ->
-      (* Time from admission to a worker picking the task up: the
-         admission queue's contribution to latency. A miss's lookup on
-         the connection thread came before admission, so it is not
-         counted here. *)
-      let wait_ms = elapsed_ms ~arrival:admitted in
-      Hist.record t.queue_wait_ms wait_ms;
-      note.n_queue_wait_ms <- Some wait_ms;
-      let reply =
-        try f ()
-        with e ->
-          Protocol.error_reply ~id ?trace_id ~code:"internal"
-            (Printexc.to_string e)
-      in
-      Mutex.lock m;
-      result := Some reply;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  let rec wait () =
-    match !result with
-    | Some reply -> reply
-    | None ->
-        Condition.wait c m;
-        wait ()
-  in
-  let reply = wait () in
-  Mutex.unlock m;
-  reply
+  try
+    Pool.run t.pool (fun () ->
+        (* Time from admission to a worker picking the task up: the
+           admission queue's contribution to latency. A miss's lookup on
+           the connection thread came before admission, so it is not
+           counted here. *)
+        let wait_ms = elapsed_ms ~arrival:admitted in
+        Hist.record t.queue_wait_ms wait_ms;
+        note.n_queue_wait_ms <- Some wait_ms;
+        f ())
+  with e ->
+    Protocol.error_reply ~id ?trace_id ~code:"internal" (Printexc.to_string e)
 
 (* ---- stats ---- *)
 
@@ -554,6 +532,7 @@ let stats_json t =
   and shutting_down = t.shutting_down in
   Mutex.unlock t.mutex;
   let cache = Lru.stats t.cache in
+  let gc = Gc.quick_stat () in
   let store_fields =
     match t.store with
     | None -> []
@@ -608,7 +587,17 @@ let stats_json t =
                ("solve", t.solve_ms) ]) );
       ( "race_wins",
         Json.Obj
-          (List.map (fun (k, v) -> (k, Json.int v)) (race_wins_alist t)) )
+          (List.map (fun (k, v) -> (k, Json.int v)) (race_wins_alist t)) );
+      ( "pool",
+        Json.Obj
+          [ ("workers", Json.int (Pool.workers t.pool));
+            ("max_workers", Json.int (Pool.num_domains t.pool - 1)) ] );
+      ( "gc",
+        Json.Obj
+          [ ("heap_words", Json.int gc.Gc.heap_words);
+            ("top_heap_words", Json.int gc.Gc.top_heap_words);
+            ("minor_collections", Json.int gc.Gc.minor_collections);
+            ("major_collections", Json.int gc.Gc.major_collections) ] )
     ]
     @ store_fields)
 

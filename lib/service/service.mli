@@ -7,8 +7,8 @@
     thread until the result is ready; concurrency comes from calling it
     from many threads (one per connection). A solve or sweep is
     resolved, keyed and looked up in the cache on the calling thread;
-    a hit is answered there, and only a miss is fanned out to the
-    {!Soctam_engine.Pool} worker domains via [Pool.submit].
+    a hit is answered there, and only a miss runs on a
+    {!Soctam_engine.Pool} worker domain, through [Pool.run].
 
     {b Admission control.} Admission covers cache misses and [sleep]s:
     at most [queue_capacity] of them may be admitted-but-incomplete at
@@ -91,8 +91,8 @@ val shutdown_requested : t -> bool
 val drain : t -> unit
 
 (** The [stats] reply body: uptime, queue depth, request counters,
-    cache counters, latency percentiles (ms, including p999) and
-    per-engine race wins. *)
+    cache counters, latency percentiles (ms, including p999), per-engine
+    race wins, pool workers spawned and their cap, and GC counters. *)
 val stats_json : t -> Soctam_obs.Json.t
 
 (** The [health] reply body: [status] (["ok"] / ["stopping"]),

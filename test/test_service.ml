@@ -448,6 +448,36 @@ let test_service_solve_and_cache () =
         (Json.member "hits" cache = Some (Json.int 1))
   | None -> Alcotest.fail "stats has no cache")
 
+(* Sequential misses never wait, so they start one worker of the two
+   a 3-domain pool allows. *)
+let test_service_pool_stats () =
+  Pool.with_pool ~num_domains:3 (fun pool ->
+      let svc = Service.create ~pool () in
+      List.iter
+        (fun w ->
+          let reply =
+            reply_of_line svc
+              (Printf.sprintf
+                 {|{"op":"solve","soc":"s1","num_buses":2,"total_width":%d}|} w)
+          in
+          Alcotest.(check bool) "miss ok" true (reply_ok reply);
+          Alcotest.(check bool) "miss" false (reply_cached reply))
+        [ 16; 24 ];
+      let stats = Service.stats_json svc in
+      let field path =
+        match List.fold_left (fun j k -> Option.bind j (Json.member k))
+                (Some stats) path with
+        | Some (Json.Num x) -> int_of_float x
+        | _ -> Alcotest.failf "stats has no %s" (String.concat "." path)
+      in
+      Alcotest.(check int) "workers" 1 (field [ "pool"; "workers" ]);
+      Alcotest.(check int) "max_workers" 2 (field [ "pool"; "max_workers" ]);
+      Alcotest.(check bool) "heap within its peak" true
+        (field [ "gc"; "heap_words" ] <= field [ "gc"; "top_heap_words" ]);
+      List.iter
+        (fun k -> ignore (field [ "gc"; k ]))
+        [ "minor_collections"; "major_collections" ])
+
 (* A permuted inline SOC must hit the cache entry of its relabelling,
    and get the answer back in its own core order. *)
 let test_service_permuted_hit () =
@@ -707,6 +737,8 @@ let suite =
       test_name_parsers;
     Alcotest.test_case "resolve soc specs" `Quick test_resolve_soc;
     Alcotest.test_case "solve and cache" `Quick test_service_solve_and_cache;
+    Alcotest.test_case "stats report pool workers and the heap" `Quick
+      test_service_pool_stats;
     Alcotest.test_case "permuted request hits" `Quick
       test_service_permuted_hit;
     Alcotest.test_case "bad requests" `Quick test_service_bad_requests;

@@ -43,10 +43,78 @@ let test_pool_exception () =
           (Array.init 40 Fun.id)
       with
       | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
+      | exception Failure msg -> (
           Alcotest.(check string) "first failure by index" "3" msg;
           let out = Pool.map pool ~f:succ (Array.init 8 Fun.id) in
-          Alcotest.(check int) "pool survives" 8 out.(7))
+          Alcotest.(check int) "pool survives" 8 out.(7);
+          (* [run] re-raises in the caller, and its worker stays. *)
+          match Pool.run pool (fun () -> failwith "run") with
+          | () -> Alcotest.fail "expected run to raise"
+          | exception Failure msg ->
+              Alcotest.(check string) "run re-raises" "run" msg;
+              Alcotest.(check int) "pool survives run" 42
+                (Pool.run pool (fun () -> 42))))
+
+let domain_id () = (Domain.self () :> int)
+
+let test_pool_run_sequential () =
+  Pool.with_pool ~num_domains:3 (fun pool ->
+      Alcotest.(check int) "no worker before the first task" 0
+        (Pool.workers pool);
+      let ran = List.init 10 (fun _ -> Pool.run pool domain_id) in
+      Alcotest.(check (list int)) "one domain for every call"
+        (List.init 10 (fun _ -> List.hd ran))
+        ran;
+      Alcotest.(check bool) "not the caller's" true
+        (List.hd ran <> domain_id ());
+      Alcotest.(check int) "one worker spawned" 1 (Pool.workers pool))
+
+(* Each task waits up to 5 s for the other to start: only two domains
+   running them at once lets both see the other. *)
+let test_pool_run_overlap () =
+  Pool.with_pool ~num_domains:3 (fun pool ->
+      let started = Atomic.make 0 in
+      let task () =
+        Atomic.incr started;
+        let until = Unix.gettimeofday () +. 5.0 in
+        while Atomic.get started < 2 && Unix.gettimeofday () < until do
+          Unix.sleepf 0.001
+        done;
+        (domain_id (), Atomic.get started = 2)
+      in
+      let other = ref None in
+      let th =
+        Thread.create (fun () -> other := Some (Pool.run pool task)) ()
+      in
+      let d1, met1 = Pool.run pool task in
+      Thread.join th;
+      match !other with
+      | None -> Alcotest.fail "the other run returned nothing"
+      | Some (d2, met2) ->
+          Alcotest.(check bool) "both met" true (met1 && met2);
+          Alcotest.(check bool) "distinct domains" true (d1 <> d2);
+          Alcotest.(check int) "two workers" 2 (Pool.workers pool))
+
+let test_pool_run_one_worker () =
+  Pool.with_pool ~num_domains:2 (fun pool ->
+      let running = Atomic.make 0 and overlapped = Atomic.make false in
+      let task () =
+        if Atomic.fetch_and_add running 1 > 0 then Atomic.set overlapped true;
+        Unix.sleepf 0.01;
+        Atomic.decr running
+      in
+      let threads =
+        List.init 4 (fun _ -> Thread.create (fun () -> Pool.run pool task) ())
+      in
+      List.iter Thread.join threads;
+      Alcotest.(check bool) "one task at a time" false (Atomic.get overlapped);
+      Alcotest.(check int) "one worker" 1 (Pool.workers pool))
+
+let test_pool_run_inline () =
+  Pool.with_pool ~num_domains:1 (fun pool ->
+      Alcotest.(check int) "on the caller's domain" (domain_id ())
+        (Pool.run pool domain_id);
+      Alcotest.(check int) "no worker" 0 (Pool.workers pool))
 
 let test_pool_shutdown () =
   let pool = Pool.create ~num_domains:2 () in
@@ -55,6 +123,9 @@ let test_pool_shutdown () =
   Alcotest.check_raises "map after shutdown"
     (Invalid_argument "Pool.map: pool shut down") (fun () ->
       ignore (Pool.map pool ~f:succ [| 1 |]));
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Pool.run: pool shut down") (fun () ->
+      Pool.run pool ignore);
   Alcotest.check_raises "bad size" (Invalid_argument "Pool.create: num_domains < 1")
     (fun () -> ignore (Pool.create ~num_domains:0 ()))
 
@@ -194,6 +265,14 @@ let pool_suite =
   [ Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
     Alcotest.test_case "empty batch + reuse" `Quick test_pool_empty_and_reuse;
     Alcotest.test_case "exception propagation" `Quick test_pool_exception;
+    Alcotest.test_case "sequential runs share one worker" `Quick
+      test_pool_run_sequential;
+    Alcotest.test_case "overlapping runs use two domains" `Quick
+      test_pool_run_overlap;
+    Alcotest.test_case "2-domain pool runs one task at a time" `Quick
+      test_pool_run_one_worker;
+    Alcotest.test_case "1-domain pool runs inline" `Quick
+      test_pool_run_inline;
     Alcotest.test_case "shutdown" `Quick test_pool_shutdown ]
 
 let suite =
