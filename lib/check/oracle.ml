@@ -55,7 +55,7 @@ let properties =
     "race_matches_exact";
     "pack_bounds" ]
 
-let ilp_width_cap = 8
+let ilp_width_cap = 14
 
 (* The exact packer branches over permutations; past this many cores the
    oracle's per-instance cost stops being fuzz-friendly. *)

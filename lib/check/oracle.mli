@@ -88,9 +88,9 @@ type failure = {
 val properties : string list
 
 (** MILP-backed properties are skipped when [total_width] exceeds this
-    (8, matching the qcheck suites' cap): the Big-M model grows with
-    [NB * W] and the oracle must stay cheap enough to run hundreds of
-    instances per fuzz run. *)
+    (14, which covers the widths of the benchmark's MILP pool): the
+    Big-M model grows with [NB * W] and the oracle must stay cheap
+    enough to run hundreds of instances per fuzz run. *)
 val ilp_width_cap : int
 
 (** [check ?fault ?presolve ?cuts instance] runs every property against

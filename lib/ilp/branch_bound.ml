@@ -112,8 +112,10 @@ let most_fractional ~priority int_vars (point : float array) =
    by the model bounds and the node's overrides is tightened from the
    activity bounds of every row, plus a cutoff row for the objective;
    when a domain empties, no point of the node satisfies every row and
-   the node is closed without its LP. The tightened bounds only decide
-   closing: they never reach the simplex. Float error may only weaken a
+   the node is closed without its LP. A node left open gets its LP over
+   the tightened integer bounds ([tightened]): the cutoff row removes
+   only points that cannot beat the incumbent, so the LP bound stays
+   valid for every point that could. Float error may only weaken a
    proof: each implied bound carries slack sized by the row's
    tolerance, and a row is violated only beyond that tolerance. *)
 module Propagate = struct
@@ -234,27 +236,40 @@ module Propagate = struct
       push p p.col_row.(k)
     done
 
-  (* Intersect the model box with the overrides and queue the rows of
-     every overridden variable; [true] when an override empties a box. *)
-  let rec install p = function
-    | [] -> false
-    | (v, l, u) :: rest ->
-        if l > p.lb.(v) then p.lb.(v) <- l;
-        if u < p.ub.(v) then p.ub.(v) <- u;
-        push_rows_of p v;
-        p.lb.(v) > p.ub.(v) || install p rest
+  (* Intersect the box with an override and queue the rows of its
+     variable; [true] when the box empties. *)
+  let install p (v, l, u) =
+    if l > p.lb.(v) then p.lb.(v) <- l;
+    if u < p.ub.(v) then p.ub.(v) <- u;
+    push_rows_of p v;
+    p.lb.(v) > p.ub.(v)
 
-  (* [closes p overrides] propagates the node with [overrides] over the
-     model rows and the cutoff row (see [set_cutoff]). [true] means a
-     domain emptied. At most [visits_per_row * nrows] row visits; no
-     allocation. *)
-  let closes p overrides =
-    let nvars = Array.length p.lb in
-    Array.blit p.lb0 0 p.lb 0 nvars;
-    Array.blit p.ub0 0 p.ub 0 nvars;
+  let rec install_all p = function
+    | [] -> false
+    | bound :: rest -> install p bound || install_all p rest
+
+  (* [closes p ~from_parent overrides] propagates the node with
+     [overrides] over the model rows and the cutoff row (see
+     [set_cutoff]). [true] means a domain emptied. Normally the box
+     restarts from the model bounds and every override is installed.
+     [~from_parent:true] is for a child propagated right after its
+     parent, whose box the last call left in [p]: only the child's own
+     branching bound, the head of [overrides], is installed on top of
+     it. At most [visits_per_row * nrows] row visits; no allocation. *)
+  let closes p ~from_parent overrides =
     let cutoff_row = p.nrows - 1 in
+    if not from_parent then begin
+      let nvars = Array.length p.lb in
+      Array.blit p.lb0 0 p.lb 0 nvars;
+      Array.blit p.ub0 0 p.ub 0 nvars
+    end;
     if p.rhs.(cutoff_row) < infinity then push p cutoff_row;
-    let closed = ref (install p overrides) in
+    let closed =
+      ref
+        (match overrides with
+        | branch :: _ when from_parent -> install p branch
+        | _ -> install_all p overrides)
+    in
     let visits = ref (visits_per_row * p.nrows) in
     while (not !closed) && p.len > 0 && !visits > 0 do
       decr visits;
@@ -356,6 +371,18 @@ module Propagate = struct
       ignore (pop p)
     done;
     !closed
+
+  (* The integer variables whose box [closes] left tighter than the
+     model's, as overrides consed onto [acc]. Continuous bounds stay
+     out: theirs carry the propagation's slack. *)
+  let tightened p int_vars acc =
+    let acc = ref acc in
+    for k = Array.length int_vars - 1 downto 0 do
+      let v = int_vars.(k) in
+      let l = p.lb.(v) and u = p.ub.(v) in
+      if l > p.lb0.(v) || u < p.ub0.(v) then acc := (v, l, u) :: !acc
+    done;
+    !acc
 end
 
 let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
@@ -414,9 +441,22 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
       elapsed_s = Clock.elapsed_s ~since:start }
   in
   Heap.push heap { overrides = []; depth = 0; bound = neg_infinity; parent = None };
+  (* The child a branching node plunges into: it is processed next,
+     ahead of the heap, and best-first order resumes when a plunge ends
+     at a node that does not branch. *)
+  let plunge = ref None in
   let budget_hit = ref false in
-  while (not (Heap.is_empty heap)) && not !budget_hit do
-    let node = Heap.pop heap in
+  while
+    (Option.is_some !plunge || not (Heap.is_empty heap)) && not !budget_hit
+  do
+    let plunged = Option.is_some !plunge in
+    let node =
+      match !plunge with
+      | Some child ->
+          plunge := None;
+          child
+      | None -> Heap.pop heap
+    in
     if prune_bound node.bound >= !best_score -. 1e-9 then
       Obs.incr "bb.prune.bound"
     else begin
@@ -433,6 +473,9 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
         let warm_before =
           if Obs.enabled () then Simplex.Incremental.warm_starts lp else 0
         in
+        let reuses_before =
+          if Obs.enabled () then Simplex.Incremental.reuses lp else 0
+        in
         let outcome = ref "" in
         let closed =
           node.depth > 0
@@ -445,7 +488,12 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
                  (if integral_objective then
                     Float.ceil (!best_score -. 1e-9) -. 1.0
                   else !best_score);
-               Propagate.closes p node.overrides
+               (* A plunged child comes right after its parent, whose
+                  box is still in [p] unless the parent was the root,
+                  which is not propagated. *)
+               Propagate.closes p
+                 ~from_parent:(plunged && node.depth > 1)
+                 node.overrides
              end
         in
         if closed then begin
@@ -453,83 +501,108 @@ let solve ?(node_limit = 500_000) ?time_limit_s ?max_lp_pivots
           Obs.incr "bb.prune.propagated";
           incr propagated
         end
-        else
-        (match
-           Simplex.Incremental.solve ?basis:node.parent
-             ~bound_overrides:node.overrides lp
-         with
-        | Simplex.Infeasible ->
-            outcome := "infeasible";
-            Obs.incr "bb.prune.infeasible"
-        | Simplex.Iteration_limit ->
-            (* Unexplorable subtree: the optimum may hide in it, so the
-               final verdict is downgraded to best-found (Node_limit)
-               rather than claiming proven optimality. *)
-            outcome := "dropped";
-            Obs.incr "bb.dropped";
-            incr dropped
-        | Simplex.Unbounded ->
-            outcome := "unbounded";
-            if node.depth = 0 && int_vars = [] then saw_unbounded := true
-            else if node.depth = 0 then
-              (* Relaxation unbounded with integer variables present:
-                 report unbounded conservatively. *)
-              saw_unbounded := true
-        | Simplex.Optimal { point; objective; pivots = p } -> (
-            pivots := !pivots + p;
-            let score = to_min objective in
-            if prune_bound score >= !best_score -. 1e-9 then begin
-              outcome := "pruned";
-              Obs.incr "bb.prune.objective"
-            end
+        else begin
+          let bound_overrides =
+            if node.depth = 0 then node.overrides
             else
-              match
-                most_fractional ~priority:branch_priority
-                  int_var_arr point
-              with
-              | None ->
-                  (* Integral: new incumbent. Snap integer variables to
-                     exact integers before storing, and an integral
-                     objective to its integer value, so float noise in
-                     the LP score cannot pass for an improvement. *)
-                  outcome := "integral";
-                  let snapped = Array.copy point in
-                  List.iter
-                    (fun v -> snapped.(v) <- Float.round snapped.(v))
-                    int_vars;
-                  let score =
-                    if integral_objective then Float.round score else score
-                  in
-                  if score < !best_score then begin
-                    Obs.incr "bb.incumbent";
-                    best_score := score;
-                    best_point := Some snapped
-                  end
-              | Some v ->
-                  outcome := "branched";
-                  let x = point.(v) in
-                  let info = Model.var_info model v in
-                  let lo_ub = Float.floor x and hi_lb = Float.ceil x in
-                  (* Both children restart from this node's optimal
-                     basis; one snapshot is shared between them. *)
-                  let parent = Some (Simplex.Incremental.basis lp) in
-                  let child overrides =
-                    { overrides; depth = node.depth + 1; bound = score; parent }
-                  in
-                  if lo_ub >= info.Model.lb -. 1e-9 then
-                    Heap.push heap
-                      (child ((v, info.Model.lb, lo_ub) :: node.overrides));
-                  if hi_lb <= info.Model.ub +. 1e-9 then
-                    Heap.push heap
-                      (child ((v, hi_lb, info.Model.ub) :: node.overrides))));
+              Propagate.tightened (Lazy.force prop) int_var_arr
+                node.overrides
+          in
+          match
+            Simplex.Incremental.solve ?basis:node.parent ~bound_overrides lp
+          with
+          | Simplex.Infeasible ->
+              outcome := "infeasible";
+              Obs.incr "bb.prune.infeasible"
+          | Simplex.Iteration_limit ->
+              (* Unexplorable subtree: the optimum may hide in it, so the
+                 final verdict is downgraded to best-found (Node_limit)
+                 rather than claiming proven optimality. *)
+              outcome := "dropped";
+              Obs.incr "bb.dropped";
+              incr dropped
+          | Simplex.Unbounded ->
+              outcome := "unbounded";
+              if node.depth = 0 && int_vars = [] then saw_unbounded := true
+              else if node.depth = 0 then
+                (* Relaxation unbounded with integer variables present:
+                   report unbounded conservatively. *)
+                saw_unbounded := true
+          | Simplex.Optimal { point; objective; pivots = p } -> (
+              pivots := !pivots + p;
+              let score = to_min objective in
+              if prune_bound score >= !best_score -. 1e-9 then begin
+                outcome := "pruned";
+                Obs.incr "bb.prune.objective"
+              end
+              else
+                match
+                  most_fractional ~priority:branch_priority
+                    int_var_arr point
+                with
+                | None ->
+                    (* Integral: new incumbent. Snap integer variables to
+                       exact integers before storing, and an integral
+                       objective to its integer value, so float noise in
+                       the LP score cannot pass for an improvement. *)
+                    outcome := "integral";
+                    let snapped = Array.copy point in
+                    List.iter
+                      (fun v -> snapped.(v) <- Float.round snapped.(v))
+                      int_vars;
+                    let score =
+                      if integral_objective then Float.round score else score
+                    in
+                    if score < !best_score then begin
+                      Obs.incr "bb.incumbent";
+                      best_score := score;
+                      best_point := Some snapped
+                    end
+                | Some v ->
+                    outcome := "branched";
+                    let x = point.(v) in
+                    let info = Model.var_info model v in
+                    let lo_ub = Float.floor x and hi_lb = Float.ceil x in
+                    (* Both children restart from this node's optimal
+                       basis; one snapshot is shared between them. The
+                       plunged child is solved next, while the basis is
+                       still live, so its LP keeps the factorization. *)
+                    let parent = Some (Simplex.Incremental.basis lp) in
+                    let child overrides =
+                      let depth = node.depth + 1 in
+                      Some { overrides; depth; bound = score; parent }
+                    in
+                    let down =
+                      if lo_ub >= info.Model.lb -. 1e-9 then
+                        child ((v, info.Model.lb, lo_ub) :: node.overrides)
+                      else None
+                    in
+                    let up =
+                      if hi_lb <= info.Model.ub +. 1e-9 then
+                        child ((v, hi_lb, info.Model.ub) :: node.overrides)
+                      else None
+                    in
+                    (* Plunge on the side [x] rounds to; the sibling waits
+                       in the heap. *)
+                    let near, far =
+                      if x -. lo_ub < 0.5 then (down, up) else (up, down)
+                    in
+                    if Option.is_some near then begin
+                      plunge := near;
+                      Option.iter (Heap.push heap) far
+                    end
+                    else plunge := far)
+        end;
         if Obs.enabled () then
           Obs.finish
             ~args:
               [ ("depth", string_of_int node.depth);
                 ( "lp",
                   if closed then "none"
-                  else if Simplex.Incremental.warm_starts lp > warm_before
-                  then "warm"
+                  else if Simplex.Incremental.warm_starts lp > warm_before then
+                    if Simplex.Incremental.reuses lp > reuses_before then
+                      "reused"
+                    else "warm"
                   else "cold" );
                 ("outcome", !outcome) ]
             "bb.node" node_sp

@@ -1,16 +1,21 @@
 (** Branch-and-bound MILP solver on top of {!Simplex}.
 
     Best-first search on the LP relaxation bound, branching on the most
-    fractional integer variable. One {!Simplex.Incremental} handle is
-    shared by the whole tree: each heap node carries its parent's
-    optimal basis, and the node relaxation is reoptimized from it with
-    the dual simplex, falling back to a cold solve when the warm start
-    fails. An initial incumbent (e.g. from a heuristic) can be supplied
-    to prune early. When [integral_objective] is set, LP bounds are
-    rounded towards the objective's integrality, which tightens pruning
-    for models whose optimum value is known to be integral (such as
-    makespans of integer task times), and integral incumbents are
-    stored at their integer value.
+    fractional integer variable, with plunging: after a node branches,
+    the child on the side its value rounds to is processed next, and
+    only its sibling waits in the heap; best-first order resumes when a
+    plunge reaches a node that does not branch. One
+    {!Simplex.Incremental} handle is shared by the whole tree: each node
+    carries its parent's optimal basis, and the node relaxation is
+    reoptimized from it with the dual simplex, falling back to a cold
+    solve when the warm start fails. A plunged child is solved while its
+    parent's basis is still live in the handle, so its LP keeps the
+    parent's factorization. An initial incumbent (e.g. from a heuristic)
+    can be supplied to prune early. When [integral_objective] is set, LP
+    bounds are rounded towards the objective's integrality, which
+    tightens pruning for models whose optimum value is known to be
+    integral (such as makespans of integer task times), and integral
+    incumbents are stored at their integer value.
 
     Every non-root node is first put through domain propagation, from
     the model bounds plus the node's overrides: each row (Le, Ge or Eq,
@@ -21,13 +26,19 @@
     under [integral_objective], [objective <= incumbent] otherwise, and
     no row while there is no incumbent. When a domain empties, the node
     is closed without its LP; it still counts in [nodes] and is counted
-    in [propagated_nodes]. Propagation only closes nodes: a node it
-    does not close gets its LP with exactly the branching overrides and
-    parent basis it would get without propagation. Float error can only
-    weaken it — implied bounds carry slack sized by the row's tolerance,
-    and a row is violated only beyond [1e-6 (1 + |rhs|)] plus [1e-9] of
-    its activity's magnitude. Each node's propagation is capped at
-    8 visits per row, and allocates nothing. *)
+    in [propagated_nodes]. A node it does not close gets its LP over the
+    propagated box: every integer variable's bounds as propagation
+    tightened them, the branching overrides included. (Continuous
+    bounds keep their model values.) This is sound because the cutoff
+    row removes only points that cannot beat the incumbent. A plunged
+    child starts its propagation from its parent's propagated box and
+    installs only its own branching bound; any other node starts from
+    the model bounds. Float error can only weaken propagation — implied
+    bounds carry slack sized by the row's tolerance, and a row is
+    violated only beyond [1e-6 (1 + |rhs|)] plus [1e-9] of its
+    activity's magnitude. Each node's propagation is capped at 8 visits
+    per row and allocates nothing; handing its box to the LP allocates
+    one override per tightened integer variable. *)
 
 type stats = {
   nodes : int;  (** Branch-and-bound nodes processed. *)

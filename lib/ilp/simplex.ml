@@ -44,6 +44,9 @@ let refactor_period = 64
 module Incremental = struct
   type basis = { sb : int array; sstat : Bytes.t }
 
+  (* Stands for "no live snapshot": [basis] never returns it. *)
+  let no_snapshot = { sb = [||]; sstat = Bytes.empty }
+
   (* Revised bounded-variable simplex over the equality form A x + s = b
      with one slack per row (Le: s in [0,inf), Ge: s in (-inf,0], Eq:
      s = 0) and one artificial slot per row for cold phase-1 starts.
@@ -135,9 +138,14 @@ module Incremental = struct
             slot's arrays are sized on its first use and reused. *)
     mutable nupd : int;
     mutable factorized : bool;
+    mutable live : basis;
+        (** The snapshot [basis] last returned, while no solve has run
+            since (the live basis and factorization are still its own);
+            [no_snapshot] otherwise. *)
     mutable refactors : int;
     mutable warm : int;
     mutable cold : int;
+    mutable reuses : int;
     mutable pivots : int;  (** Pivots spent in the solve in progress. *)
     (* Scratch vectors, all of length [max 1 m]. *)
     v_y : float array;  (** BTRAN of the basic costs (pricing). *)
@@ -158,6 +166,7 @@ module Incremental = struct
   let warm_starts t = t.warm
   let cold_solves t = t.cold
   let refactorizations t = t.refactors
+  let reuses t = t.reuses
 
   let create ?(max_pivots = 200_000) model =
     let nstruct = Model.num_vars model in
@@ -289,9 +298,11 @@ module Incremental = struct
       eta_val = Array.make refactor_period [||];
       nupd = 0;
       factorized = false;
+      live = no_snapshot;
       refactors = 0;
       warm = 0;
       cold = 0;
+      reuses = 0;
       pivots = 0;
       v_y = Array.make (max 1 m) 0.0;
       v_rho = Array.make (max 1 m) 0.0;
@@ -720,6 +731,32 @@ module Incremental = struct
     end
     else refactorize t
 
+  (* Basic values from scratch through the current factors:
+     xb = B^-1 (b - N x_N). *)
+  let recompute_xb t =
+    let v = t.v_spike in
+    Array.blit t.b0 0 v 0 t.m;
+    for j = 0 to t.ncols - 1 do
+      if Bytes.get t.vstat j <> st_basic then begin
+        let x = val_of t j in
+        if x <> 0.0 then add_col t j (-.x) v
+      end
+    done;
+    ltran t v;
+    utran t v;
+    Array.blit v 0 t.xb 0 t.m
+
+  (* Refactorize the basis from pristine columns and recompute its basic
+     values through the fresh factors, so neither the factors nor [xb]
+     carry anything from Forrest-Tomlin updates. Run before trusting a
+     verdict that read them. [false] on a singular basis. *)
+  let refresh t =
+    refactorize t
+    && begin
+         recompute_xb t;
+         true
+       end
+
   type phase_outcome = Phase_done | Phase_unbounded | Phase_iter_limit
 
   (* Objective of the phase in progress, recomputed from current values
@@ -1042,6 +1079,18 @@ module Incremental = struct
     done;
     !worst
 
+  (* The audit before a basis is trusted. A failure can be drift in
+     [xb] rather than a bad basis: refresh from pristine data and audit
+     once more before giving the basis up. *)
+  let audit t =
+    worst_basic_violation t <= 0.0
+    || begin
+         Obs.incr "simplex.refresh";
+         let ok = refresh t && worst_basic_violation t <= 0.0 in
+         if ok then Obs.incr "simplex.refresh_saved";
+         ok
+       end
+
   (* Phase 2 on the model costs (installed by the caller): coarse
      pricing first, then the strict confirmation pass before the point
      is certified optimal — a prematurely stopped phase 2 overstates the
@@ -1065,16 +1114,31 @@ module Incremental = struct
         Array.blit t.cost 0 t.obj_coeffs 0 t.ncols;
         match phase2 t with
         | Phase_done ->
-            if worst_basic_violation t > 0.0 then begin
+            if audit t then extract t
+            else begin
               (* A pristine rebuild should never end infeasible-at-the-
                  basis; if it does, a safe partial verdict beats a
                  corrupt "optimal". *)
               Obs.incr "simplex.cold_audit_fail";
               Iteration_limit
             end
-            else extract t
         | Phase_unbounded -> Unbounded
         | Phase_iter_limit -> Iteration_limit)
+
+  (* Re-home nonbasics whose side is no longer finite under the
+     installed bounds (a relaxed override can reopen an upper bound to
+     infinity), then start the dual afresh: unit steepest-edge weights
+     and the model costs. *)
+  let prepare_warm t =
+    for j = 0 to t.ncols - 1 do
+      let st = Bytes.get t.vstat j in
+      if st = st_upper && not (Float.is_finite t.ub.(j)) then
+        Bytes.set t.vstat j st_lower
+      else if st = st_lower && not (Float.is_finite t.lb.(j)) then
+        Bytes.set t.vstat j st_upper
+    done;
+    Array.fill t.dse 0 (max 1 t.m) 1.0;
+    Array.blit t.cost 0 t.obj_coeffs 0 t.ncols
 
   (* Restore a snapshot basis by refactorizing its columns from pristine
      data — no pivoting from the current basis, no drift carried over,
@@ -1085,34 +1149,20 @@ module Incremental = struct
     else begin
       Array.blit snap.sb 0 t.basis_arr 0 t.m;
       Bytes.blit snap.sstat 0 t.vstat 0 t.ncols;
-      (* Re-home nonbasics whose snapshot side is no longer finite
-         (a relaxed override can reopen an upper bound to infinity). *)
-      for j = 0 to t.ncols - 1 do
-        let st = Bytes.get t.vstat j in
-        if st = st_upper && not (Float.is_finite t.ub.(j)) then
-          Bytes.set t.vstat j st_lower
-        else if st = st_lower && not (Float.is_finite t.lb.(j)) then
-          Bytes.set t.vstat j st_upper
-      done;
-      if not (refactorize t) then false
-      else begin
-        (* Basic values from scratch: xb = B^-1 (b - N x_N). *)
-        let v = t.v_spike in
-        Array.blit t.b0 0 v 0 t.m;
-        for j = 0 to t.ncols - 1 do
-          if Bytes.get t.vstat j <> st_basic then begin
-            let x = val_of t j in
-            if x <> 0.0 then add_col t j (-.x) v
-          end
-        done;
-        ltran t v;
-        utran t v;
-        Array.blit v 0 t.xb 0 t.m;
-        Array.fill t.dse 0 (max 1 t.m) 1.0;
-        Array.blit t.cost 0 t.obj_coeffs 0 t.ncols;
-        true
-      end
+      prepare_warm t;
+      refresh t
     end
+
+  (* Warm start from the live basis, which is still the snapshot's: the
+     factors stay, and only the basic values are recomputed through
+     them, since the new bounds can move nonbasic columns. Whatever
+     drift the factors carry, every verdict is refreshed before it is
+     trusted (the dual's infeasibility exit, the audits). *)
+  let reuse t =
+    t.reuses <- t.reuses + 1;
+    Obs.incr "simplex.reuse";
+    prepare_warm t;
+    recompute_xb t
 
   type dual_outcome = Dual_feasible | Dual_infeasible | Dual_give_up | Dual_iter
 
@@ -1127,6 +1177,9 @@ module Incremental = struct
     let cap = 200 + (4 * t.m) in
     let steps = ref 0 in
     let res = ref None in
+    (* Whether this call refreshed at a dead end, and whether it met one
+       again after that. *)
+    let refreshed = ref false and stuck = ref false in
     while !res = None do
       if t.pivots > t.max_pivots then res := Some Dual_iter
       else if !steps > cap || not t.factorized then res := Some Dual_give_up
@@ -1195,15 +1248,24 @@ module Incremental = struct
               end
             end
           done;
-          if !best < 0 then begin
-            (* No direction can repair the violation. Trust this as an
-               infeasibility certificate only when the violation is
-               decisive *on the violated variable's own scale*:
-               equilibrated columns carry bounds up to ~2^25, and a
-               basic on such a column accumulates absolute drift far
-               above any fixed epsilon. Marginal cases go to the cold
-               two-phase solve, which settles feasibility from pristine
-               data. *)
+          if !best < 0 && not !refreshed then begin
+            (* No direction can repair the violation, by the basic
+               values and the row of B^-1 carried through the updates
+               since the last refactorization; both drift. Refresh them
+               from pristine data, once per call, and look again. *)
+            refreshed := true;
+            Obs.incr "simplex.refresh";
+            if not (refresh t) then res := Some Dual_give_up
+          end
+          else if !best < 0 then begin
+            (* The violation survived the refresh. Trust it as an
+               infeasibility certificate only when it is decisive *on
+               the violated variable's own scale*: equilibrated columns
+               carry bounds up to ~2^25, and a basic on such a column
+               accumulates absolute drift far above any fixed epsilon.
+               Marginal cases go to the cold two-phase solve, which
+               settles feasibility from pristine data. *)
+            stuck := true;
             let i = t.basis_arr.(r) in
             let fin b = if Float.is_finite b then Float.abs b else 0.0 in
             let scale =
@@ -1266,50 +1328,62 @@ module Incremental = struct
         end
       end
     done;
+    if !refreshed && t.factorized && not !stuck then
+      Obs.incr "simplex.refresh_saved";
     match !res with Some o -> o | None -> assert false
+
+  (* Reoptimize from the warm basis installed by [restore] or [reuse]. *)
+  let warm_solve t =
+    match dual t with
+    | Dual_iter -> Iteration_limit
+    | Dual_give_up ->
+        Obs.incr "simplex.dual_giveup";
+        cold_solve t
+    | Dual_infeasible ->
+        t.warm <- t.warm + 1;
+        Infeasible
+    | Dual_feasible -> (
+        (* Polish with the primal: usually zero pivots, but it also
+           absorbs any residual dual infeasibility from drift. *)
+        match phase2 t with
+        | Phase_done ->
+            if audit t then begin
+              t.warm <- t.warm + 1;
+              extract t
+            end
+            else begin
+              (* Residual primal infeasibility survived the refresh:
+                 the warm basis cannot be trusted, so the verdict comes
+                 from pristine data instead. *)
+              Obs.incr "simplex.warm_audit_fail";
+              cold_solve t
+            end
+        | Phase_unbounded ->
+            t.warm <- t.warm + 1;
+            Unbounded
+        | Phase_iter_limit -> Iteration_limit)
 
   let solve ?basis ?(bound_overrides = []) t =
     t.pivots <- 0;
+    let live = t.live in
+    t.live <- no_snapshot;
     let res =
       if not (install_bounds t bound_overrides) then Infeasible
       else
         match basis with
-        | Some snap when restore t snap -> (
-            match dual t with
-            | Dual_iter -> Iteration_limit
-            | Dual_give_up ->
-                Obs.incr "simplex.dual_giveup";
-                cold_solve t
-            | Dual_infeasible ->
-                t.warm <- t.warm + 1;
-                Infeasible
-            | Dual_feasible -> (
-                (* Polish with the primal: usually zero pivots, but it also
-                   absorbs any residual dual infeasibility from drift. *)
-                match phase2 t with
-                | Phase_done ->
-                    if worst_basic_violation t > 0.0 then begin
-                      (* Residual primal infeasibility slipped through
-                         the dual's tolerance: the warm basis cannot be
-                         trusted, so the verdict comes from pristine
-                         data instead. *)
-                      Obs.incr "simplex.warm_audit_fail";
-                      cold_solve t
-                    end
-                    else begin
-                      t.warm <- t.warm + 1;
-                      extract t
-                    end
-                | Phase_unbounded ->
-                    t.warm <- t.warm + 1;
-                    Unbounded
-                | Phase_iter_limit -> Iteration_limit))
+        | Some snap when snap == live && t.factorized ->
+            reuse t;
+            warm_solve t
+        | Some snap when restore t snap -> warm_solve t
         | Some _ | None -> cold_solve t
     in
     if Obs.enabled () then Obs.add "simplex.pivots" (float_of_int t.pivots);
     res
 
-  let basis t = { sb = Array.copy t.basis_arr; sstat = Bytes.copy t.vstat }
+  let basis t =
+    let snap = { sb = Array.copy t.basis_arr; sstat = Bytes.copy t.vstat } in
+    t.live <- snap;
+    snap
 end
 
 let solve ?(bound_overrides = []) ?max_pivots model =

@@ -25,9 +25,16 @@
     bounds cost nothing — no explicit [x <= u] rows are added.
 
     Reduced costs are recomputed from scratch (one BTRAN of the basic
-    costs) at every pricing pass, and warm restores refactorize the
-    snapshot basis instead of pivoting toward it, so no cost-row or
-    elimination drift survives a solve boundary.
+    costs) at every pricing pass, so no cost-row drift survives a
+    solve boundary. A warm start from a restored snapshot refactorizes
+    its basis instead of pivoting toward it; a warm start from the
+    live basis keeps the factorization, Forrest-Tomlin updates and
+    all. Drift in the factors and basic values is bounded by the
+    refactorization period, and no verdict is trusted on drifted
+    values: before the dual simplex declares a node infeasible, and
+    when a post-solve audit finds a basic value out of bounds, the
+    basis is refactorized from pristine columns and its basic values
+    recomputed, and only a verdict that survives this refresh stands.
 
     Integrality information in the model is ignored: this module solves
     the continuous relaxation. Variables must have finite lower bounds
@@ -54,7 +61,13 @@ type result =
     (a bound change leaves the parent basis dual-feasible). When warm
     restart fails — the snapshot basis is singular, or the dual would
     need a dubious pivot — the solve silently falls back to a cold
-    two-phase primal start, so callers always get a full answer. *)
+    two-phase primal start, so callers always get a full answer.
+
+    The handle remembers the snapshot {!basis} last returned until the
+    next solve. A warm solve from that snapshot finds its basis still
+    live: it keeps the factorization and only recomputes the basic
+    values under the new bounds. Branch and bound gets this on every
+    child it solves right after its parent. *)
 module Incremental : sig
   type t
   (** Mutable solver state; not thread-safe. Use one handle per
@@ -75,14 +88,22 @@ module Incremental : sig
       [(var, lb, ub)]) tightening the model bounds. With [?basis],
       attempt a warm start from that snapshot (dual simplex then primal
       polish); without it, or when the warm path fails, run the cold
-      two-phase primal. *)
+      two-phase primal. A snapshot that is the one {!basis} returned
+      since the last solve is still the live basis, and its
+      factorization is reused ({!reuses}); any other is refactorized
+      from pristine columns. *)
 
   val basis : t -> basis
   (** Snapshot the current basis; valid after an [Optimal] solve and
-      reusable across later solves of the same handle. *)
+      reusable across later solves of the same handle. The handle
+      remembers it as live until its next solve. *)
 
   val warm_starts : t -> int
   (** Number of solves answered via the warm-start path. *)
+
+  val reuses : t -> int
+  (** Number of warm starts that kept the live factorization (see
+      {!solve}). *)
 
   val cold_solves : t -> int
   (** Number of cold two-phase solves (including fallbacks). *)
@@ -90,7 +111,8 @@ module Incremental : sig
   val refactorizations : t -> int
   (** Number of basis (re)factorizations performed over the handle's
       lifetime: cold starts, warm restores, the periodic refresh every
-      64 Forrest-Tomlin updates, and recovery from failed updates. *)
+      64 Forrest-Tomlin updates, recovery from failed updates, and the
+      refreshes before a verdict. *)
 end
 
 val solve :

@@ -74,10 +74,23 @@ let serve ?(on_bound = fun () -> ()) ~service addr =
       | Addr.Tcp _ -> ())
     (fun () ->
       (match addr with
-      | Addr.Unix_path path -> unlink_quietly path
-      | Addr.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true);
-      Unix.bind listener (Addr.sockaddr addr);
-      Unix.listen listener 64;
+      | Addr.Unix_path path ->
+          (* Bind and listen under a temporary name in the same
+             directory, then rename the socket into place: a client
+             that connects as soon as [path] exists finds it
+             listening. *)
+          let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
+          unlink_quietly tmp;
+          Fun.protect
+            ~finally:(fun () -> unlink_quietly tmp)
+            (fun () ->
+              Unix.bind listener (Unix.ADDR_UNIX tmp);
+              Unix.listen listener 64;
+              Unix.rename tmp path)
+      | Addr.Tcp _ ->
+          Unix.setsockopt listener Unix.SO_REUSEADDR true;
+          Unix.bind listener (Addr.sockaddr addr);
+          Unix.listen listener 64);
       on_bound ();
       (* Poll the shutdown flag between accepts so a shutdown request
          served on a connection thread wakes this loop promptly. *)

@@ -10,8 +10,13 @@
     asserts on.
 
     SIGPIPE is ignored for the whole process (a client hanging up
-    mid-reply must not kill the daemon); Unix-domain socket paths are
-    unlinked before bind and after shutdown. *)
+    mid-reply must not kill the daemon). A Unix-domain socket is bound
+    and listening under a temporary name in the same directory, the
+    path plus [.<pid>], before it is renamed to its path (replacing any
+    stale file there), so a client that connects as soon as the path
+    exists is never refused. The temporary name must fit the
+    platform's socket-path limit too. The path is unlinked after
+    shutdown. *)
 
 (** [serve ~service addr] blocks until a shutdown request is served.
     The listen backlog is 64. Raises [Unix.Unix_error] when the address

@@ -2,6 +2,7 @@ module Model = Soctam_ilp.Model
 module Lin_expr = Soctam_ilp.Lin_expr
 module Branch_bound = Soctam_ilp.Branch_bound
 module Simplex = Soctam_ilp.Simplex
+module Obs = Soctam_obs.Obs
 
 let optimal = function
   | Branch_bound.Optimal { point; objective; _ } -> (point, objective)
@@ -135,7 +136,9 @@ let test_warm_start_stats () =
    on v first, the child v = 0 has the feasible LP x = 0.3, y = 2.2 but
    no integer point (2x + 2y = 5 has none), which propagation proves by
    rounding x and y down to a contradiction. The optimum v = 1, y = 1
-   costs 9. *)
+   costs 9. The search plunges into v = 0 (0.2 rounds down), so the
+   v = 1 sibling comes next, with the root's basis still live: the
+   traced node spans read cold (the root), none (closed) and reused. *)
 let test_propagation_closes_child () =
   let m = Model.create () in
   let int_var name =
@@ -153,7 +156,20 @@ let test_propagation_closes_child () =
   | Simplex.Optimal _ -> ()
   | _ -> Alcotest.fail "the v = 0 child's LP should be feasible");
   let branch_priority u = if u = v then 1 else 0 in
-  match Branch_bound.solve ~branch_priority m with
+  Obs.enable ();
+  let result =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Branch_bound.solve ~branch_priority m)
+  in
+  let events, _ = Obs.drain () in
+  let lps =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        if e.name = "bb.node" then List.assoc_opt "lp" e.args else None)
+      events
+  in
+  Alcotest.(check (list string)) "node LPs" [ "cold"; "none"; "reused" ] lps;
+  match result with
   | Branch_bound.Optimal { point; objective; stats } ->
       Alcotest.(check (float 1e-6)) "optimum" 9.0 objective;
       Alcotest.(check (list (float 1e-6))) "point" [ 0.0; 1.0; 1.0 ]

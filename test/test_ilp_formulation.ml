@@ -129,18 +129,17 @@ let prop_ilp_matches_exact_random =
       let i = match r.Ilp.solution with Some (_, t) -> Some t | None -> None in
       r.Ilp.optimal && i = exact_time problem)
 
-(* On this instance the seeded search prunes everything below its
-   cutoff (seed + 1) and ends "infeasible", although the greedy seed
-   is the optimum (1157295, per Exact). The solve must still answer
-   with the verified seed, without claiming optimality. *)
+(* A seeded search whose budget runs out before it has a point of its
+   own answers with its verified greedy seed, without claiming
+   optimality. A positive time limit too small to finish any node
+   triggers it; the instance's seed is its optimum (1157295, per
+   Exact). *)
 let test_seed_fallback () =
   let problem =
     rnd_problem ~seed:28348171 ~cores:7 ~num_buses:2 ~total_width:16
       ~d_max:4.55 ()
   in
-  let r = Ilp.solve problem in
-  Alcotest.(check (option int)) "exact optimum" (Some 1157295)
-    (exact_time problem);
+  let r = Ilp.solve ~time_limit_s:1e-9 problem in
   Alcotest.(check (option int)) "seed returned" (Some 1157295)
     (Option.map snd r.Ilp.solution);
   Alcotest.(check bool) "not claimed optimal" false r.Ilp.optimal;
@@ -153,9 +152,46 @@ let test_seed_fallback () =
         (Verify.check problem arch ~claimed_time:t)
   | None -> ());
   (* Unseeded (as in races) there is no seed to fall back on. *)
-  let cold = Ilp.solve ~seed_incumbent:false problem in
+  let cold = Ilp.solve ~seed_incumbent:false ~time_limit_s:1e-9 problem in
   Alcotest.(check bool) "no fallback unseeded" false
-    cold.Ilp.stats.Ilp.seed_fallback
+    cold.Ilp.stats.Ilp.seed_fallback;
+  Alcotest.(check bool) "no answer unseeded" true (cold.Ilp.solution = None)
+
+(* The same instance with no budget: the seeded search, cut off just
+   above the seed (its optimum), must find that optimum itself and
+   prove it. Warm node LPs that trusted drifted basic values used to
+   prune every node below the cutoff here and end on the seed
+   fallback. *)
+let test_seed_cutoff_proven () =
+  let problem =
+    rnd_problem ~seed:28348171 ~cores:7 ~num_buses:2 ~total_width:16
+      ~d_max:4.55 ()
+  in
+  let r = Ilp.solve problem in
+  Alcotest.(check (option int)) "exact optimum" (Some 1157295)
+    (exact_time problem);
+  Alcotest.(check (option int)) "test time" (Some 1157295)
+    (Option.map snd r.Ilp.solution);
+  Alcotest.(check bool) "proven optimal" true r.Ilp.optimal;
+  Alcotest.(check bool) "no fallback" false r.Ilp.stats.Ilp.seed_fallback
+
+(* Benchmark-pool instances whose root LP ends with a basic value out
+   of bounds by 1e-8 to 1e-7 after Forrest-Tomlin updates: the audit
+   refreshes the basis from pristine data and passes, where a search
+   that trusted the first audit gave up with [optimal = false]. *)
+let test_audit_refresh () =
+  List.iter
+    (fun (seed, cores, num_buses, total_width, d_max, p_max) ->
+      let problem =
+        rnd_problem ~seed ~cores ~num_buses ~total_width ~d_max ~p_max ()
+      in
+      let r = Ilp.solve problem in
+      let name = Printf.sprintf "rnd:%d:%d" seed cores in
+      Alcotest.(check bool) (name ^ " optimal") true r.Ilp.optimal;
+      Alcotest.(check (option int)) (name ^ " test time")
+        (exact_time problem)
+        (Option.map snd r.Ilp.solution))
+    [ (214242185, 5, 3, 9, 2.7, 1570.6); (770970341, 5, 3, 8, 2.34, 1658.9) ]
 
 (* Integral incumbents are stored at their integer value. On this
    instance two integral nodes both score 401439, the second about 1e-7
@@ -182,15 +218,15 @@ let test_integral_incumbent_once () =
 
 (* Tripwire for the search and its node LPs: three MILP benchmark-pool
    instances solved as the daemon solves them (seeded, presolve and
-   cuts on), with their exact work counters. The sparse kernels in
-   [Simplex] skip only exact-zero terms and keep the order of the rest,
-   and domain propagation closes nodes before their LP, so these counts
-   fingerprint both the branch-and-bound search (which nodes get an LP)
-   and the LP arithmetic (how each LP pivots). If a change moves any of
-   them, the 21,000-candidate MILP screen
-   ([perfbench/bench.exe --screen-ilp 0:21000]) must be rerun against
-   [perfbench/known_bad.ml]. The heuristic seed is pinned too: on all
-   three instances it already finds the optimum, so a changed seed
+   cuts on), with their exact work counters. The search order
+   (best-first with plunging), domain propagation and the propagated
+   box handed to each node LP decide which nodes get an LP; the LP
+   arithmetic, with its factorizations kept through a plunge and
+   refreshed before a verdict, decides how each pivots. These counts
+   fingerprint both. If a change moves any of them, the 21,000-candidate
+   MILP screen ([perfbench/bench.exe --screen-ilp 0:21000]) must be
+   rerun and must print nothing. The heuristic seed is pinned too: on
+   all three instances it already finds the optimum, so a changed seed
    fails here before it moves a node count. *)
 let test_node_lp_tripwire () =
   List.iter
@@ -217,10 +253,10 @@ let test_node_lp_tripwire () =
           st.Ilp.refactorizations;
           st.Ilp.cuts_added;
           st.Ilp.presolve_fixed ])
-    [ ((654433233, 6, 2, 12, 2.56, 185.0), (14616, 33, 106, 17, 1, 18, 0, 2));
+    [ ((654433233, 6, 2, 12, 2.56, 185.0), (14616, 21, 102, 13, 1, 6, 0, 2));
       ( (57411906, 6, 3, 8, 2.89, 1039.3),
-        (4240785, 51, 367, 26, 4, 34, 6, 3) );
-      ((637489711, 4, 2, 8, 3.83, 1030.0), (822739, 17, 43, 8, 1, 9, 0, 4)) ]
+        (4240785, 31, 197, 22, 1, 16, 6, 3) );
+      ((637489711, 4, 2, 8, 3.83, 1030.0), (822739, 17, 43, 9, 1, 4, 0, 4)) ]
 
 let suite =
   [ Alcotest.test_case "matches exact on S1" `Slow test_matches_exact_s1;
@@ -238,6 +274,10 @@ let suite =
     Alcotest.test_case "solutions verified" `Quick test_solutions_verified;
     Alcotest.test_case "seeded search falls back to its seed" `Quick
       test_seed_fallback;
+    Alcotest.test_case "seeded search proves its seed optimal" `Quick
+      test_seed_cutoff_proven;
+    Alcotest.test_case "audit refreshes before giving up" `Quick
+      test_audit_refresh;
     Alcotest.test_case "node-LP counters tripwire" `Quick
       test_node_lp_tripwire;
     Alcotest.test_case "integral incumbent stored once" `Quick
@@ -329,8 +369,8 @@ let prop_assignment_matches_dp_random =
 (* P1 runs through the same presolve and branch-and-bound search as P,
    so its work is pinned as the node-LP tripwire pins P's. The instance
    is the tripwire's second, at P's optimal widths 6/1/1: the presolve
-   eliminates 3 variables, the clique cover installs 6 rows of size
-   >= 3, and one node LP falls back to a cold solve. *)
+   eliminates 3 variables and the clique cover installs 6 rows of size
+   >= 3. *)
 let test_assignment_tripwire () =
   let problem =
     rnd_problem ~seed:57411906 ~cores:6 ~num_buses:3 ~total_width:8
@@ -343,7 +383,7 @@ let test_assignment_tripwire () =
     (Option.map snd r.Ilp.solution);
   Alcotest.(check (list int))
     "nodes/pivots/warm/cold/refactorizations/cuts/fixed"
-    [ 9; 98; 5; 2; 8; 6; 3 ]
+    [ 5; 58; 3; 1; 2; 6; 3 ]
     [ st.Ilp.bb_nodes;
       st.Ilp.lp_pivots;
       st.Ilp.warm_starts;

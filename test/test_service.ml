@@ -16,6 +16,9 @@ module Lru = Soctam_service.Lru
 module Metrics = Soctam_service.Metrics
 module Protocol = Soctam_service.Protocol
 module Service = Soctam_service.Service
+module Server = Soctam_service.Server
+module Client = Soctam_service.Client
+module Addr = Soctam_service.Addr
 
 (* ---- canonical hashing ---- *)
 
@@ -610,6 +613,63 @@ let test_service_shutdown () =
   Alcotest.(check bool) "ping still answered" true (reply_ok ping);
   Service.drain svc
 
+(* A daemon's Unix socket is listening by the time its path exists:
+   100 start-ups, each connected to from another domain the moment the
+   path appears, with no refusal. (A socket bound under its own path
+   before [listen] refuses a client that connects in between.) Each
+   cycle then shuts the daemon down; a second connection wakes its
+   accept loop, which otherwise notices the shutdown only at its next
+   0.1 s poll. *)
+let test_socket_listening_when_visible () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "soctam-start-%d.sock" (Unix.getpid ()))
+  in
+  let addr =
+    match Addr.of_string ("unix:" ^ sock) with
+    | Ok a -> a
+    | Error msg -> Alcotest.fail msg
+  in
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  Pool.with_pool ~num_domains:1 @@ fun pool ->
+  let refused = ref 0 in
+  for _ = 1 to 100 do
+    let svc = Service.create ~cache_capacity:0 ~pool () in
+    let client =
+      Domain.spawn (fun () ->
+          let deadline = Clock.now_s () +. 10.0 in
+          while (not (Sys.file_exists sock)) && Clock.now_s () < deadline do
+            Domain.cpu_relax ()
+          done;
+          match Client.connect addr with
+          | c -> `Connected c
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> `Refused
+          | exception Unix.Unix_error (Unix.ENOENT, _, _) -> `Absent)
+    in
+    let server = Thread.create (fun () -> Server.serve ~service:svc addr) () in
+    let c =
+      match Domain.join client with
+      | `Connected c -> c
+      | `Absent -> Alcotest.fail "the socket never appeared"
+      | `Refused ->
+          incr refused;
+          let rec retry () =
+            match Client.connect addr with
+            | c -> c
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+                Thread.delay 0.001;
+                retry ()
+          in
+          retry ()
+    in
+    ignore (Client.rpc_line c {|{"op":"shutdown"}|});
+    Client.close c;
+    (try Client.close (Client.connect addr) with Unix.Unix_error _ -> ());
+    Thread.join server
+  done;
+  Alcotest.(check int) "connections refused" 0 !refused;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists sock)
+
 (* A streamed race solve pushes incumbent events through [emit] before
    handle_line returns its final certified reply; a cached replay of
    the same request streams nothing. *)
@@ -748,6 +808,8 @@ let suite =
     Alcotest.test_case "hit served while queue is full" `Quick
       test_service_hit_while_queue_full;
     Alcotest.test_case "shutdown" `Quick test_service_shutdown;
+    Alcotest.test_case "socket listens once its path exists" `Quick
+      test_socket_listening_when_visible;
     Alcotest.test_case "race solve streams incumbents" `Quick
       test_service_race_stream;
     Alcotest.test_case "trace ids and health probe" `Quick

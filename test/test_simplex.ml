@@ -241,10 +241,15 @@ let mixed_gen =
     return (nvars, objs, rows, overrides))
 
 (* Warm-started reoptimization from a snapshot basis must reach the same
-   verdict and objective as a one-shot cold solve of the same bounds. *)
-let prop_warm_equals_cold =
-  QCheck.Test.make ~name:"incremental warm start matches cold solve"
-    ~count:300 (QCheck.make mixed_gen)
+   verdict and objective as a one-shot cold solve of the same bounds. A
+   warm solve right after [basis] keeps the live factorization; with
+   [~restore], a cold solve of the overridden LP runs in between and
+   leaves another basis live, so the snapshot is refactorized from
+   pristine columns instead. Either way the handle's
+   [reuses] count says which path ran; overrides that empty a box (two
+   on one variable can) are answered before either path. *)
+let warm_equals_cold ~restore ~name =
+  QCheck.Test.make ~name ~count:300 (QCheck.make mixed_gen)
     (fun (nvars, objs, rows, overrides) ->
       let m, _ = random_mixed_model (nvars, objs, rows) in
       let ov =
@@ -254,15 +259,42 @@ let prop_warm_equals_cold =
       match Simplex.Incremental.solve t with
       | Simplex.Optimal _ ->
           let snap = Simplex.Incremental.basis t in
+          if restore then
+            ignore (Simplex.Incremental.solve ~bound_overrides:ov t);
+          let reuses = Simplex.Incremental.reuses t in
           let warm =
             Simplex.Incremental.solve ~basis:snap ~bound_overrides:ov t
           in
+          let reused = Simplex.Incremental.reuses t > reuses in
           let cold = Simplex.solve ~bound_overrides:ov m in
-          if same_outcome warm cold then true
+          let box_empty =
+            List.exists
+              (fun (v, _, _) ->
+                let lo, hi =
+                  List.fold_left
+                    (fun (lo, hi) (u, l, h) ->
+                      if u = v then (Float.max lo l, Float.min hi h)
+                      else (lo, hi))
+                    (0.0, 8.0) ov
+                in
+                lo > hi)
+              ov
+          in
+          if reused <> (not (restore || box_empty)) then
+            QCheck.Test.fail_reportf "reused the live basis: %b" reused
+          else if same_outcome warm cold then true
           else
             QCheck.Test.fail_reportf "warm %s <> cold %s" (verdict warm)
               (verdict cold)
       | _ -> true)
+
+let prop_warm_equals_cold =
+  warm_equals_cold ~restore:false
+    ~name:"incremental warm start matches cold solve"
+
+let prop_restored_warm_equals_cold =
+  warm_equals_cold ~restore:true
+    ~name:"restored warm start matches cold solve"
 
 (* Native bound handling must agree with the pre-rewrite formulation:
    the same LP with every finite upper bound expressed as an explicit
@@ -329,8 +361,11 @@ let test_seed_soc_native_vs_explicit () =
       (Soctam_soc.Benchmarks.s2 (), 2, 16) ]
 
 (* Branching-style warm starts on a seed SOC model: fixing binaries one
-   at a time from the parent basis must match one-shot cold solves. *)
-let test_seed_soc_warm_chain () =
+   at a time from the parent basis must match one-shot cold solves.
+   With [~restore], a cold solve of the opposite fixing between each
+   snapshot and its warm solve leaves another basis live and forces the
+   restore path instead of the reuse path. *)
+let seed_soc_warm_chain ~restore () =
   let problem =
     Soctam_core.Problem.make
       ~constraints:Soctam_core.Problem.no_constraints
@@ -345,6 +380,11 @@ let test_seed_soc_warm_chain () =
   List.iter
     (fun (v, value) ->
       let snap = Simplex.Incremental.basis t in
+      if restore then
+        ignore
+          (Simplex.Incremental.solve
+             ~bound_overrides:((v, 1.0 -. value, 1.0 -. value) :: !ov)
+             t);
       ov := (v, value, value) :: !ov;
       let warm =
         Simplex.Incremental.solve ~basis:snap ~bound_overrides:!ov t
@@ -356,7 +396,10 @@ let test_seed_soc_warm_chain () =
         true (same_outcome warm cold))
     [ (0, 1.0); (3, 0.0); (5, 1.0); (7, 0.0); (9, 1.0) ];
   Alcotest.(check bool) "warm starts recorded" true
-    (Simplex.Incremental.warm_starts t > 0)
+    (Simplex.Incremental.warm_starts t > 0);
+  Alcotest.(check int) "live factorizations kept"
+    (if restore then 0 else 5)
+    (Simplex.Incremental.reuses t)
 
 let suite =
   [ Alcotest.test_case "textbook max" `Quick test_textbook_max;
@@ -370,8 +413,11 @@ let suite =
     Alcotest.test_case "degenerate corner" `Quick test_degenerate;
     QCheck_alcotest.to_alcotest prop_random_boxed_lp;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    QCheck_alcotest.to_alcotest prop_restored_warm_equals_cold;
     QCheck_alcotest.to_alcotest prop_native_bounds_match_explicit_rows;
     Alcotest.test_case "seed SOC native bounds vs explicit rows" `Quick
       test_seed_soc_native_vs_explicit;
     Alcotest.test_case "seed SOC warm-start chain" `Quick
-      test_seed_soc_warm_chain ]
+      (seed_soc_warm_chain ~restore:false);
+    Alcotest.test_case "seed SOC restored warm-start chain" `Quick
+      (seed_soc_warm_chain ~restore:true) ]
