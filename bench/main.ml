@@ -32,7 +32,6 @@ module Routing = Soctam_layout.Routing
 module Layout_conflicts = Soctam_layout.Conflicts
 module Power_conflicts = Soctam_power.Power_conflicts
 module Power_model = Soctam_power.Power_model
-module Schedule = Soctam_sched.Schedule
 module Profile = Soctam_sched.Profile
 module Power_sched = Soctam_sched.Power_sched
 module Gantt = Soctam_sched.Gantt
@@ -411,8 +410,9 @@ let figure_f2 () =
     match (Exact.solve problem).Exact.solution with
     | None -> Printf.printf "%s: infeasible\n" name
     | Some (arch, t) ->
-        let sched = Schedule.of_architecture problem arch in
-        let profile = Profile.of_schedule problem sched in
+        let profile =
+          Profile.of_schedule problem (Rect_sched.of_architecture problem arch)
+        in
         Printf.printf "%s: T=%d, schedule peak %.0f mW\n" name t
           (Profile.peak profile);
         print_string (Gantt.render_profile ~rows:8 profile);
@@ -641,7 +641,7 @@ let table_a5 () =
           match
             Power_sched.stagger unconstrained free_arch ~p_max_mw:p_max
           with
-          | Some { Power_sched.makespan; _ } -> string_of_int makespan
+          | Some sched -> string_of_int sched.Rect_sched.makespan
           | None -> "impossible"
         in
         [ Table.fmt_float frac;
@@ -1892,7 +1892,7 @@ let bechamel_section () =
                      (Array.init (Soc.num_cores s2) (fun i -> i mod 2))
                in
                let p = Problem.make s2 ~num_buses:2 ~total_width:24 in
-               let sched = Schedule.of_architecture p arch in
+               let sched = Rect_sched.of_architecture p arch in
                ignore (Profile.of_schedule p sched))) ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in

@@ -14,7 +14,6 @@ module Routing = Soctam_layout.Routing
 module Layout_conflicts = Soctam_layout.Conflicts
 module Power_conflicts = Soctam_power.Power_conflicts
 module Power_model = Soctam_power.Power_model
-module Schedule = Soctam_sched.Schedule
 module Rect_sched = Soctam_sched.Rect_sched
 module Profile = Soctam_sched.Profile
 module Gantt = Soctam_sched.Gantt
@@ -99,13 +98,14 @@ let print_solution problem soc solution ~show_gantt =
            rows);
       if show_gantt then begin
         print_newline ();
-        print_string (Gantt.render problem (Schedule.of_architecture problem arch))
+        print_string
+          (Gantt.render problem (Rect_sched.of_architecture problem arch))
       end;
       0
 
 (* Pack rows carry a packed schedule, not an architecture: print the
-   placements (one rectangle per core), the Gantt of the track-lowered
-   schedule, and — when an envelope is in force — the power profile. *)
+   placements (one rectangle per core), their Gantt, and — when an
+   envelope is in force — the power profile. *)
 let print_packing ?p_max_mw problem soc packing ~show_gantt =
   (match Pack_solver.validate ?p_max_mw problem packing with
   | Ok () -> ()
@@ -127,14 +127,13 @@ let print_packing ?p_max_mw problem soc packing ~show_gantt =
        ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
        ~headers:[ "core"; "width"; "wires"; "start"; "finish" ]
        rows);
-  let schedule = Pack_solver.to_schedule packing in
   if show_gantt then begin
     print_newline ();
-    print_string (Gantt.render problem schedule)
+    print_string (Gantt.render problem packing)
   end;
   (match p_max_mw with
   | Some p ->
-      let profile = Profile.of_schedule problem schedule in
+      let profile = Profile.of_schedule problem packing in
       Printf.printf "Peak power: %.1f mW (budget %.1f mW)\n"
         (Profile.peak profile)
         (Pack_solver.effective_budget problem ~p_max_mw:p);

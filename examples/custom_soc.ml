@@ -10,7 +10,7 @@ module Test_time = Soctam_soc.Test_time
 module Problem = Soctam_core.Problem
 module Exact = Soctam_core.Exact
 module Power_conflicts = Soctam_power.Power_conflicts
-module Schedule = Soctam_sched.Schedule
+module Rect_sched = Soctam_sched.Rect_sched
 module Profile = Soctam_sched.Profile
 module Power_sched = Soctam_sched.Power_sched
 module Gantt = Soctam_sched.Gantt
@@ -56,7 +56,7 @@ let () =
   | Some (arch, test_time) ->
       Printf.printf "optimal test time under the budget: %d cycles\n\n"
         test_time;
-      let sched = Schedule.of_architecture problem arch in
+      let sched = Rect_sched.of_architecture problem arch in
       print_string (Gantt.render problem sched);
       print_newline ();
       let profile = Profile.of_schedule problem sched in
@@ -74,12 +74,12 @@ let () =
       (match (Exact.solve relaxed).Exact.solution with
       | Some (free_arch, free_time) -> (
           match Power_sched.stagger relaxed free_arch ~p_max_mw:p_max with
-          | Some { Power_sched.makespan; schedule } ->
-              let staggered_profile = Profile.of_schedule relaxed schedule in
+          | Some staggered ->
+              let staggered_profile = Profile.of_schedule relaxed staggered in
               Printf.printf
                 "\nstaggered alternative: unconstrained optimum %d, \
                  power-legal staggered makespan %d (peak %.0f mW)\n"
-                free_time makespan
+                free_time staggered.Rect_sched.makespan
                 (Profile.peak staggered_profile)
           | None -> ())
       | None -> ())

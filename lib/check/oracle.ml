@@ -380,18 +380,16 @@ let check ?(fault = No_fault) ?(presolve = true) ?(cuts = true)
     | _ -> Ok ()
   in
   let* () =
-    (* The schedule-emission path must respect the envelope too. *)
+    (* The packing's own power profile must respect the envelope too. *)
     match p_max_mw with
     | None -> Ok ()
     | Some p ->
         let budget = Pack.effective_budget problem ~p_max_mw:p in
-        let profile =
-          Profile.of_schedule problem (Pack.to_schedule greedy)
-        in
+        let profile = Profile.of_schedule problem greedy in
         if Profile.respects ~p_max_mw:budget profile then Ok ()
         else
-          fail "pack_bounds"
-            "emitted schedule violates the %.3f mW envelope" budget
+          fail "pack_bounds" "greedy packing violates the %.3f mW envelope"
+            budget
   in
   if Soc.num_cores inst.Gen.soc > pack_exact_core_cap then Ok ()
   else begin

@@ -253,23 +253,19 @@ let run_dp_probe ctx problem partitions =
     "race.probe" sp;
   next
 
-(* The partition family's canonical re-derivation: one deterministic DP
-   pass bounded just above [t_star]. The pass is cheap: the bound prunes
-   all but near-optimal assignments. The cell only holds feasible
-   architectures, so it always rediscovers one at [t_star]. *)
+(* The partition family's canonical re-derivation: DP passes bounded
+   just above [t_star], in partition order. The cell only holds feasible
+   architectures, so some partition rediscovers one at [t_star]; that is
+   certified optimal, so the first partition to meet it is the answer. *)
 let canonical_architecture problem partitions t_star =
   Obs.span "race.finalize" @@ fun () ->
-  let best = ref None in
-  let best_time = ref (t_star + 1) in
-  Array.iter
+  Array.find_map
     (fun widths ->
-      match Dp_assign.solve ~upper_bound:!best_time problem ~widths with
-      | Some { Dp_assign.assignment; test_time } ->
-          best_time := test_time;
-          best := Some (Architecture.make ~widths ~assignment, test_time)
-      | None -> ())
-    partitions;
-  !best
+      Option.map
+        (fun { Dp_assign.assignment; test_time } ->
+          (Architecture.make ~widths ~assignment, test_time))
+        (Dp_assign.solve ~upper_bound:(t_star + 1) problem ~widths))
+    partitions
 
 let solve ?deadline_s ?on_event problem =
   let ctx = create ?deadline_s ?on_event snd in
@@ -341,12 +337,16 @@ let run_pack_exact ctx ?p_max_mw problem =
 
 (* The packing family's canonical re-derivation: a sequential exact
    search bounded just above the certified makespan, which must
-   rediscover a packing at it. *)
+   rediscover a packing at it; that makespan is optimal, so the search
+   stops at its first incumbent. *)
 let canonical_packing ?p_max_mw problem t_star =
   Obs.span "race.finalize" @@ fun () ->
+  let found = ref false in
   let r =
     Pack.exact ?p_max_mw ~node_budget:pack_node_budget
       ~upper_bound:(fun () -> Some (t_star + 1))
+      ~on_incumbent:(fun _ -> found := true)
+      ~should_stop:(fun () -> !found)
       problem
   in
   match r.Pack.packing with

@@ -18,9 +18,11 @@
     - a certificate is only issued by a complete engine finishing
       un-stopped (DP over all width partitions), or by the incumbent
       meeting the area lower bound;
-    - a certified race {e re-derives} the winning architecture with a
-      deterministic bounded DP pass, so the reported solution is a pure
-      function of the instance, whichever engine certified it.
+    - a certified race {e re-derives} the winning architecture with
+      deterministic DP passes bounded just above the certified time,
+      keeping the first partition (in order) that meets it, so the
+      reported solution is a pure function of the instance, whichever
+      engine certified it.
 
     One copy of this protocol serves two families, each with its own
     cell: the partition portfolio ({!solve}) and the rectangle-packing

@@ -4,7 +4,7 @@ module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 module Test_time = Soctam_soc.Test_time
 module Rect_sched = Soctam_sched.Rect_sched
-module Schedule = Soctam_sched.Schedule
+module Profile = Soctam_sched.Profile
 
 type candidate = { width : int; time : int }
 
@@ -81,20 +81,6 @@ let envelope_ok problem placements ~start ~finish ~power ~budget =
          p.start <= start || p.start >= finish || ok p.start)
        placements
 
-let peak_power problem (packing : Rect_sched.t) =
-  List.fold_left
-    (fun acc (p : Rect_sched.placement) ->
-      let at_start =
-        List.fold_left
-          (fun sum (q : Rect_sched.placement) ->
-            if q.start <= p.start && p.start < q.finish then
-              sum +. core_power problem q.core
-            else sum)
-          0.0 packing.placements
-      in
-      Float.max acc at_start)
-    0.0 packing.placements
-
 let validate ?p_max_mw problem packing =
   match Rect_sched.validate problem packing with
   | Error _ as e -> e
@@ -103,7 +89,7 @@ let validate ?p_max_mw problem packing =
       | None -> Ok ()
       | Some p ->
           let budget = effective_budget problem ~p_max_mw:p in
-          let peak = peak_power problem packing in
+          let peak = Profile.peak (Profile.of_schedule problem packing) in
           if peak <= budget +. 1e-9 then Ok ()
           else
             Error
@@ -263,8 +249,8 @@ let greedy ?p_max_mw ?(seed_archs = []) ?(should_stop = fun () -> false)
       if not (should_stop ()) then begin
         let packing = Rect_sched.of_architecture problem arch in
         if
-          ctx.budget = infinity
-          || peak_power problem packing <= ctx.budget +. 1e-9
+          Profile.respects ~p_max_mw:ctx.budget
+            (Profile.of_schedule problem packing)
         then consider packing
       end)
     seed_archs;
@@ -465,41 +451,3 @@ let solve ?p_max_mw ?node_budget ?seed_archs problem =
   match r.packing with
   | Some _ -> r
   | None -> { r with packing = Some seed }
-
-(* ---------------------------------------------------------------- *)
-(* Schedule emission                                                 *)
-(* ---------------------------------------------------------------- *)
-
-let to_schedule (packing : Rect_sched.t) =
-  let sorted =
-    List.sort
-      (fun (a : Rect_sched.placement) (b : Rect_sched.placement) ->
-        compare (a.start, a.wire_lo, a.core) (b.start, b.wire_lo, b.core))
-      packing.placements
-  in
-  (* First-fit track assignment: a track holds time-disjoint tests, so
-     the [bus] field becomes a valid lane for Gantt rendering. *)
-  let tracks = ref [] in
-  let entries =
-    List.map
-      (fun (p : Rect_sched.placement) ->
-        let rec assign acc = function
-          | (id, last) :: rest when last <= p.start ->
-              (id, List.rev_append acc ((id, p.finish) :: rest))
-          | t :: rest -> assign (t :: acc) rest
-          | [] ->
-              let id = List.length !tracks in
-              (id, List.rev ((id, p.finish) :: acc))
-        in
-        let id, tracks' = assign [] !tracks in
-        tracks := tracks';
-        { Schedule.core = p.core; bus = id; start = p.start; finish = p.finish })
-      sorted
-  in
-  let entries =
-    List.sort
-      (fun (a : Schedule.entry) (b : Schedule.entry) ->
-        compare (a.bus, a.start, a.core) (b.bus, b.start, b.core))
-      entries
-  in
-  { Schedule.entries; makespan = packing.makespan }

@@ -6,7 +6,10 @@
     [total_width] wires, minimizing the makespan. The model subsumes the
     fixed-bus partition model — any architecture converts into an
     equal-makespan packing ({!Soctam_sched.Rect_sched.of_architecture})
-    — and yields an explicit schedule rather than just an assignment.
+    — and yields an explicit schedule rather than just an assignment: a
+    packing is a {!Soctam_sched.Rect_sched.t}, the one schedule type,
+    which {!Soctam_sched.Profile} and {!Soctam_sched.Gantt} read
+    directly.
 
     This module provides the full family:
 
@@ -20,10 +23,7 @@
       position) choices at normal positions, pruned by area / critical
       core / energy / co-pair lower bounds, a transposition table and a
       shared incumbent; it reports whether the search ran to exhaustion
-      (the optimality certificate);
-    - {!to_schedule}: emission as a {!Soctam_sched.Schedule.t} so
-      {!Soctam_sched.Profile} can verify the instantaneous power
-      envelope of any packed schedule.
+      (the optimality certificate).
 
     Exclusion (place-and-route) pairs are vacuous here — every test
     owns dedicated wires — so a packing always exists, even for
@@ -53,13 +53,10 @@ val effective_budget : Soctam_core.Problem.t -> p_max_mw:float -> float
     given, the energy bound [⌈Σ_i min-energy_i / budget⌉]. *)
 val lower_bound : ?p_max_mw:float -> Soctam_core.Problem.t -> int
 
-(** [peak_power problem packing] is the highest instantaneous summed
-    power over the packing's placements. *)
-val peak_power : Soctam_core.Problem.t -> Rect_sched.t -> float
-
 (** [validate ?p_max_mw problem packing] is {!Rect_sched.validate}
-    plus, when [p_max_mw] is given, a check that the packing's peak
-    power stays within {!effective_budget}. *)
+    plus, when [p_max_mw] is given, a check that the peak of the
+    packing's {!Soctam_sched.Profile} stays within
+    {!effective_budget}. *)
 val validate :
   ?p_max_mw:float ->
   Soctam_core.Problem.t ->
@@ -120,9 +117,3 @@ val solve :
   ?seed_archs:Soctam_core.Architecture.t list ->
   Soctam_core.Problem.t ->
   result
-
-(** [to_schedule packing] lowers a packing to a schedule by first-fit
-    assignment of placements to tracks (reusing the [bus] field as the
-    track id), preserving every start/finish — so [Gantt.render] and
-    [Profile.of_schedule] apply unchanged to packed schedules. *)
-val to_schedule : Rect_sched.t -> Soctam_sched.Schedule.t

@@ -1,43 +1,42 @@
 module Problem = Soctam_core.Problem
-module Architecture = Soctam_core.Architecture
-module Cost = Soctam_core.Cost
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 
 (* Chart width in characters. *)
 let columns = 72
 
-let render problem sched =
+let render problem (sched : Rect_sched.t) =
   let soc = Problem.soc problem in
-  let makespan = max 1 sched.Schedule.makespan in
-  let nb =
-    1 + List.fold_left (fun acc e -> max acc e.Schedule.bus) 0
-          sched.Schedule.entries
-  in
+  let makespan = max 1 sched.makespan in
   let scale cycle = cycle * columns / makespan in
+  let rows =
+    List.sort_uniq compare
+      (List.map (fun (p : Rect_sched.placement) -> p.wire_lo) sched.placements)
+  in
   let buf = Buffer.create 1024 in
-  for bus = 0 to nb - 1 do
-    let row = Bytes.make columns ' ' in
-    List.iter
-      (fun e ->
-        if e.Schedule.bus = bus then begin
-          let a = scale e.Schedule.start
-          and b = max (scale e.Schedule.start + 1) (scale e.Schedule.finish) in
-          let mark = Char.chr (Char.code 'a' + (e.Schedule.core mod 26)) in
-          for x = a to min (columns - 1) (b - 1) do
-            Bytes.set row x mark
-          done;
-          let label = (Soc.core soc e.Schedule.core).Core_def.name in
-          if String.length label + 2 <= b - a then
-            String.iteri
-              (fun k c ->
-                if a + 1 + k < columns then Bytes.set row (a + 1 + k) c)
-              label
-        end)
-      sched.Schedule.entries;
-    Buffer.add_string buf (Printf.sprintf "bus%-2d |%s|\n" bus
-                             (Bytes.to_string row))
-  done;
+  List.iter
+    (fun wire ->
+      let row = Bytes.make columns ' ' in
+      List.iter
+        (fun (p : Rect_sched.placement) ->
+          if p.wire_lo = wire then begin
+            let a = scale p.start
+            and b = max (scale p.start + 1) (scale p.finish) in
+            let mark = Char.chr (Char.code 'a' + (p.core mod 26)) in
+            for x = a to min (columns - 1) (b - 1) do
+              Bytes.set row x mark
+            done;
+            let label = (Soc.core soc p.core).Core_def.name in
+            if String.length label + 2 <= b - a then
+              String.iteri
+                (fun k c ->
+                  if a + 1 + k < columns then Bytes.set row (a + 1 + k) c)
+                label
+          end)
+        sched.placements;
+      Buffer.add_string buf
+        (Printf.sprintf "w%-4d |%s|\n" wire (Bytes.to_string row)))
+    rows;
   Buffer.add_string buf
     (Printf.sprintf "       0%s%d cycles\n"
        (String.make (max 1 (columns - String.length (string_of_int makespan)))

@@ -1,17 +1,24 @@
 module Problem = Soctam_core.Problem
-module Architecture = Soctam_core.Architecture
-module Cost = Soctam_core.Cost
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 
-type result = { schedule : Schedule.t; makespan : int }
-
 type running = { finish : int; power : float; bus : int }
+
+(* The conversion lists each bus's tests back-to-back, bus by bus:
+   cutting it where [wire_lo] changes gives one queue per non-empty
+   bus, in bus order, each keeping its core order and wire interval. *)
+let bus_queues (sched : Rect_sched.t) =
+  List.fold_right
+    (fun (p : Rect_sched.placement) queues ->
+      match queues with
+      | (q :: _ as queue) :: rest when q.Rect_sched.wire_lo = p.wire_lo ->
+          (p :: queue) :: rest
+      | _ -> [ p ] :: queues)
+    sched.placements []
 
 let stagger problem arch ~p_max_mw =
   let soc = Problem.soc problem in
   let power core = (Soc.core soc core).Core_def.power_mw in
-  let nb = Architecture.num_buses arch in
   let over_budget =
     Soc.fold (fun acc _ c -> acc || c.Core_def.power_mw > p_max_mw +. 1e-9)
       false soc
@@ -19,10 +26,12 @@ let stagger problem arch ~p_max_mw =
   if over_budget then None
   else begin
     let queues =
-      Array.init nb (fun bus -> ref (Architecture.bus_members arch ~bus))
+      Array.of_list
+        (List.map ref (bus_queues (Rect_sched.of_architecture problem arch)))
     in
+    let nb = Array.length queues in
     let running = ref ([] : running list) in
-    let entries = ref [] in
+    let placements = ref [] in
     let clock = ref 0 in
     let makespan = ref 0 in
     let busy bus = List.exists (fun r -> r.bus = bus) !running in
@@ -32,16 +41,11 @@ let stagger problem arch ~p_max_mw =
         if not (busy bus) then
           match !(queues.(bus)) with
           | [] -> ()
-          | core :: rest ->
-              if load () +. power core <= p_max_mw +. 1e-9 then begin
-                let d =
-                  Problem.time problem ~core
-                    ~width:arch.Architecture.widths.(bus)
-                in
-                let finish = !clock + d in
-                entries :=
-                  { Schedule.core; bus; start = !clock; finish } :: !entries;
-                running := { finish; power = power core; bus } :: !running;
+          | (p : Rect_sched.placement) :: rest ->
+              if load () +. power p.core <= p_max_mw +. 1e-9 then begin
+                let finish = !clock + (p.finish - p.start) in
+                placements := { p with start = !clock; finish } :: !placements;
+                running := { finish; power = power p.core; bus } :: !running;
                 queues.(bus) := rest;
                 makespan := max !makespan finish
               end
@@ -64,15 +68,5 @@ let stagger problem arch ~p_max_mw =
         running := List.filter (fun r -> r.finish > next) !running
       end
     done;
-    let sorted =
-      List.sort
-        (fun a b ->
-          compare
-            (a.Schedule.bus, a.Schedule.start, a.Schedule.core)
-            (b.Schedule.bus, b.Schedule.start, b.Schedule.core))
-        !entries
-    in
-    Some
-      { schedule = { Schedule.entries = sorted; makespan = !makespan };
-        makespan = !makespan }
+    Some { Rect_sched.placements = List.rev !placements; makespan = !makespan }
   end

@@ -1,19 +1,17 @@
 module Problem = Soctam_core.Problem
-module Architecture = Soctam_core.Architecture
-module Cost = Soctam_core.Cost
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 
 type step = { from_cycle : int; to_cycle : int; power_mw : float }
 
-let of_schedule problem sched =
+let of_schedule problem (sched : Rect_sched.t) =
   let soc = Problem.soc problem in
   let events = ref [] in
   List.iter
-    (fun e ->
-      let p = (Soc.core soc e.Schedule.core).Core_def.power_mw in
-      events := (e.Schedule.start, p) :: (e.Schedule.finish, -.p) :: !events)
-    sched.Schedule.entries;
+    (fun (r : Rect_sched.placement) ->
+      let p = (Soc.core soc r.core).Core_def.power_mw in
+      events := (r.start, p) :: (r.finish, -.p) :: !events)
+    sched.placements;
   let sorted = List.sort compare !events in
   let rec build current_t current_p acc = function
     | [] -> List.rev acc

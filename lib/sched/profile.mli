@@ -1,4 +1,6 @@
-(** Instantaneous power profiles of test schedules. *)
+(** Instantaneous power profiles of test schedules: of fixed-bus
+    architectures through {!Rect_sched.of_architecture}, of packings
+    directly. *)
 
 type step = {
   from_cycle : int;
@@ -9,7 +11,7 @@ type step = {
 (** [of_schedule problem sched] is the piecewise-constant total power
     over time, as maximal constant steps in increasing time order
     (idle gaps appear as 0-power steps). *)
-val of_schedule : Soctam_core.Problem.t -> Schedule.t -> step list
+val of_schedule : Soctam_core.Problem.t -> Rect_sched.t -> step list
 
 (** Peak of the profile (0 for an empty schedule). *)
 val peak : step list -> float

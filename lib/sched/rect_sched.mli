@@ -1,13 +1,14 @@
-(** Flexible-width rectangle scheduling (extension): the model.
+(** Test schedules as rectangles: the one schedule type.
 
     The DAC 2000 architecture fixes bus widths for the whole session. Its
     successor formulations let every core pick its own TAM width, packing
     core tests as rectangles (width × test time) into the W-wire strip.
-    This module holds that model: the packing type, conversion of
-    fixed-bus architectures into rectangle schedules (so the flexible
-    model provably never loses to the paper's model), the skyline
-    placement step, a validator, and an area lower bound. The packers
-    themselves live in {!Soctam_pack.Pack}.
+    Either way each core test holds a wire interval for a time interval.
+    This module holds that model: the schedule type (read by {!Profile}
+    and {!Gantt}), conversion of fixed-bus architectures into it (so the
+    flexible model provably never loses to the paper's model), the
+    skyline placement step, the validator, and an area lower bound. The
+    packers themselves live in {!Soctam_pack.Pack}.
 
     Constraint mapping: power co-assignment pairs are serialized (their
     rectangles never overlap in time). Place-and-route exclusion pairs
@@ -30,7 +31,9 @@ val lower_bound : Soctam_core.Problem.t -> int
 
 (** [of_architecture problem arch] converts a fixed-bus architecture into
     the equivalent rectangle schedule (bus j occupies a fixed wire
-    interval; members run back-to-back). Its makespan equals the
+    interval; members run back-to-back from cycle 0 in
+    {!Soctam_core.Architecture.bus_members} order). Placements are
+    listed bus by bus, in that order. Its makespan equals the
     architecture's test time. *)
 val of_architecture : Soctam_core.Problem.t -> Soctam_core.Architecture.t -> t
 

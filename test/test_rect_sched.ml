@@ -37,6 +37,27 @@ let test_of_architecture () =
   Alcotest.(check int) "one rectangle per core" 6
     (List.length sched.Rect_sched.placements)
 
+(* A test one cycle short of its time model, first on its bus so that
+   neither an overlap nor the makespan gives it away: only the duration
+   check can. *)
+let test_validate_catches_wrong_duration () =
+  let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
+  let arch =
+    Architecture.make ~widths:[| 10; 6 |] ~assignment:[| 0; 1; 0; 1; 0; 1 |]
+  in
+  let sched = Rect_sched.of_architecture problem arch in
+  let corrupt =
+    { sched with
+      Rect_sched.placements =
+        List.map
+          (fun (p : Rect_sched.placement) ->
+            if p.core = 0 then { p with finish = p.finish - 1 } else p)
+          sched.Rect_sched.placements }
+  in
+  match Rect_sched.validate problem corrupt with
+  | Ok () -> Alcotest.fail "wrong duration not caught"
+  | Error _ -> ()
+
 let test_greedy_valid () =
   let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
   let sched = Pack.greedy problem in
@@ -128,5 +149,7 @@ let suite =
     Alcotest.test_case "co-pairs serialized" `Quick test_co_pairs_serialized;
     Alcotest.test_case "validate catches overlap" `Quick
       test_validate_catches_overlap;
+    Alcotest.test_case "validate catches a wrong duration" `Quick
+      test_validate_catches_wrong_duration;
     QCheck_alcotest.to_alcotest prop_greedy_always_valid;
     QCheck_alcotest.to_alcotest prop_flexible_never_worse ]
